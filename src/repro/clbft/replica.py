@@ -22,6 +22,7 @@ module trusts ``src_index``.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable
 
 from repro.clbft.config import GroupConfig
@@ -120,6 +121,13 @@ class ClbftReplica:
         # View-change votes per target view.
         self._view_changes: dict[int, dict[int, ViewChange]] = {}
         self._timeout_us = config.view_change_timeout_us
+        # Normal-case traffic for views above ours, newest log_window
+        # messages per sender (see _note_ahead).
+        self._ahead: dict[int, deque] = {}
+        # The NEW-VIEW this replica issued for the view it leads, and the
+        # replicas it was already re-sent to (see _on_view_change).
+        self._issued_new_view: NewView | None = None
+        self._new_view_resent: set[int] = set()
 
         # Observability counters.
         self.committed_batches = 0
@@ -216,6 +224,7 @@ class ClbftReplica:
 
     def _on_pre_prepare(self, src_index: int, msg: PrePrepare) -> None:
         if self.in_view_change or msg.view != self.view:
+            self._note_ahead(src_index, msg)
             return
         if src_index != self.config.primary_of(msg.view):
             return  # only the view's primary may order
@@ -247,6 +256,7 @@ class ClbftReplica:
         if msg.replica != src_index or msg.replica == self.index:
             return
         if self.in_view_change or msg.view != self.view:
+            self._note_ahead(src_index, msg)
             return
         if not self.log.in_window(msg.seqno):
             return
@@ -271,11 +281,39 @@ class ClbftReplica:
     def _on_commit(self, src_index: int, msg: Commit) -> None:
         if msg.replica != src_index or msg.replica == self.index:
             return
-        if msg.view > self.view or not self.log.in_window(msg.seqno):
+        if msg.view > self.view:
+            self._note_ahead(src_index, msg)
+            return
+        if not self.log.in_window(msg.seqno):
             return
         entry = self.log.entry(msg.view, msg.seqno)
         entry.commits.setdefault(msg.replica, msg)
         self._maybe_execute()
+
+    def _note_ahead(self, src_index: int, msg: Any) -> None:
+        """Keep normal-case traffic for a view above ours.
+
+        ``_enter_view`` replays it: on a non-FIFO link the new primary's
+        first pre-prepare can overtake its larger NEW-VIEW, and nothing
+        re-sends it. The traffic is also evidence that ``src_index``
+        works in that view. f+1 such peers include a correct one, so the
+        group installed a view while this replica was cut off: vote for
+        the highest view f+1 of them reached (one liar can neither raise
+        nor lower it) and that view's primary answers with its NEW-VIEW.
+        """
+        if msg.view <= self.view:
+            return
+        stash = self._ahead.get(src_index)
+        if stash is None:
+            # Per sender, so a faulty replica crowds out only itself.
+            stash = self._ahead[src_index] = deque(maxlen=self.config.log_window)
+        stash.append(msg)
+        if len(self._ahead) < self.config.weak:
+            return
+        views = sorted((s[-1].view for s in self._ahead.values()), reverse=True)
+        reached = views[self.config.weak - 1]
+        if not (self.in_view_change and self.target_view >= reached):
+            self._start_view_change(reached)
 
     # ------------------------------------------------------------------
     # Execution and checkpoints
@@ -295,8 +333,11 @@ class ClbftReplica:
             progressed = False
             seqno = self.log.last_executed + 1
             if seqno <= self.log.stable_seqno:
-                # Covered by a stable checkpoint fetched via view change.
+                # Covered by a stable checkpoint this replica did not
+                # execute up to (adopted in a view change, or reached by
+                # its peers while it was cut off).
                 self.log.last_executed = self.log.stable_seqno
+                self._forget_waiting()
                 progressed = True
                 continue
             entry = self._committed_entry(seqno)
@@ -313,6 +354,20 @@ class ClbftReplica:
         if not self._awaiting_execution():
             self._cancel_timer(VIEW_CHANGE_TIMER)
             self._timeout_us = self.config.view_change_timeout_us
+
+    def _forget_waiting(self) -> None:
+        """Batches were skipped, not executed: any request this backup
+        waits for may have run in them, and the modelled state transfer
+        carries no reply table to tell. Waiting on would keep the
+        view-change timer of a rejoined replica firing forever; a request
+        that is in fact still unordered comes back by retransmission and
+        is covered by the peers' timers meanwhile. (A primary's pending
+        set is its proposal queue, not a wait list: it stays.)"""
+        if self.is_primary:
+            return
+        self._pending.clear()
+        self._all_submitted.clear()
+        self._proposed &= self._executed_keys
 
     def _execute_once(self, seqno: int, request: ClientRequest) -> None:
         key = request_key(request)
@@ -429,7 +484,20 @@ class ClbftReplica:
         self._view_changes.setdefault(msg.new_view, {})[msg.replica] = msg
 
     def _on_view_change(self, src_index: int, msg: ViewChange) -> None:
-        if msg.replica != src_index or msg.new_view <= self.view:
+        if msg.replica != src_index or msg.new_view < self.view:
+            return
+        if msg.new_view == self.view:
+            # A vote for the view we already lead: the voter missed our
+            # NEW-VIEW (cut off, then saw f+1 peers working here). Send
+            # it again, once; it validates it like the original.
+            new_view = self._issued_new_view
+            if (
+                new_view is not None
+                and new_view.view == self.view
+                and src_index not in self._new_view_resent
+            ):
+                self._new_view_resent.add(src_index)
+                self._send_to(src_index, new_view)
             return
         if not self._verify_view_change(msg):
             return
@@ -483,6 +551,8 @@ class ClbftReplica:
         new_view_msg = NewView(
             view=new_view, view_changes=selected, pre_prepares=pre_prepares
         )
+        self._issued_new_view = new_view_msg
+        self._new_view_resent = set()
         self._multicast(new_view_msg)
         self._enter_view(new_view, pre_prepares, selected)
 
@@ -594,5 +664,9 @@ class ClbftReplica:
             self._try_propose()
         self._maybe_execute()
         self._ensure_timer()
+        stashed, self._ahead = self._ahead, {}
+        for src_index in sorted(stashed):
+            for msg in stashed[src_index]:
+                self.on_message(src_index, msg)
         if self._new_view_callback is not None:
             self._new_view_callback(new_view)

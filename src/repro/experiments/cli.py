@@ -148,7 +148,8 @@ def _run(args) -> None:
             f"  {name:<12s} n={svc.n:<3d} completed={svc.completed_calls:<6d} "
             f"aborted={svc.aborted_calls:<4d} served={svc.requests_served:<6d} "
             f"delivered={svc.delivered_requests:<6d} "
-            f"view_changes={svc.view_changes}{group_label}"
+            f"view_changes={svc.view_changes} view_lag={svc.view_lag}"
+            f"{group_label}"
         )
         if svc.app:
             print(f"  {'':<12s} app={svc.app}")

@@ -37,8 +37,11 @@ network's ``FaultyLink``):
     sends *and* receives severs the cut completely.
 ``restart``
     A crash window: between ``down_after_us`` and ``up_after_us`` the
-    replica drops all I/O and timer firings, then rejoins and catches up
-    from its peers' retransmissions and stable checkpoints.
+    replica drops all I/O and timer firings, then rejoins: its peers'
+    normal-case traffic and the primary's re-sent NEW-VIEW bring it into
+    a view the group installed meanwhile, and the next stable checkpoint
+    carries its log over the batches it missed (their application
+    effects are not transferred).
 """
 
 from __future__ import annotations

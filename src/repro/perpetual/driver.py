@@ -4,7 +4,9 @@ One driver runs per service replica, co-located with the replica's voter.
 The driver hosts the *executor* — the application's deterministic thread
 of computation — and performs the active sides of Figure 1:
 
-- stage 1: ship the executor's out-calls to the target voter primary,
+- stage 1: ship the executor's out-calls to the primary of the view the
+  target group was last reported to be in (view 0 until ``ft + 1`` of its
+  voters say otherwise, see :class:`~repro.perpetual.messages.ViewHint`),
   authenticated for every target voter, with retransmission to the whole
   target group (and deterministic responder rotation) on timeout;
 - stage 4: hand the executor's replies to the co-located voter;
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.clbft.config import GroupConfig
 from repro.clbft.messages import decode_message, encode_message
 from repro.common.encoding import IdentityMemo
 from repro.common.ids import RequestId, RequestIdAllocator, ServiceId
@@ -41,6 +44,7 @@ from repro.perpetual.messages import (
     ReplyBundle,
     ResultSubmission,
     UtilityRequest,
+    ViewHint,
     reply_auth_bytes,
 )
 from repro.common.metrics import METRICS
@@ -111,6 +115,11 @@ class DriverNode(ProtocolNode):
         self._timeouts_ms: dict[RequestId, int | None] = {}
         self._echoed: set[RequestId] = set()
         self._util_seq = 0
+        # Target-group views: target -> {voter index: highest view it
+        # reported}, and the voter leading the view adopted from those
+        # reports (where first attempts go; absent = view 0's primary).
+        self._view_reports: dict[str, dict[int, int]] = {}
+        self._target_primary: dict[str, str] = {}
 
         # Observability.
         self.completed_calls = 0
@@ -189,6 +198,8 @@ class DriverNode(ProtocolNode):
         sender = self._channel.sender_of(envelope)
         if isinstance(protocol_msg, ReplyBundle):
             self._on_reply_bundle(sender, protocol_msg)
+        elif isinstance(protocol_msg, ViewHint):
+            self._on_view_hint(sender, protocol_msg)
 
     def on_flush(self) -> None:
         self._channel.flush()
@@ -273,13 +284,46 @@ class DriverNode(ProtocolNode):
         to the whole group, whose members relay to their current primary.
         The channel signs for the full audience from one encoding pass.
         """
-        spec = self.topology.spec(str(request.target))
-        voters = [voter_name(str(request.target), i) for i in range(spec.n)]
+        target = str(request.target)
+        spec = self.topology.spec(target)
+        voters = [voter_name(target, i) for i in range(spec.n)]
         if to_all:
             self._channel.multicast(voters, request)
         else:
-            primary_hint = voter_name(str(request.target), 0)
-            self._channel.multicast_to(voters, [primary_hint], request)
+            primary = self._target_primary.get(target) or voter_name(target, 0)
+            self._channel.multicast_to(voters, [primary], request)
+
+    def _on_view_hint(self, sender: str, hint: ViewHint) -> None:
+        """Follow a target group's view from its voters' reports.
+
+        Adopts the (ft+1)-th largest of the per-voter highest reports:
+        at least one correct voter is in that view or a later one, and a
+        lying voter can neither push the choice up nor hold it back.
+        Reports only rise, so the adopted view never falls. It only picks
+        where first attempts go — a retransmission still reaches the whole
+        group — so a wrong guess costs one timeout.
+        """
+        target = sender.rpartition("/")[0]
+        spec = self.topology.spec_or_none(target)
+        index = principal_index(sender)
+        if (
+            spec is None
+            or index is None
+            or index >= spec.n
+            or sender != voter_name(target, index)
+            or not isinstance(hint.view, int)
+        ):
+            return
+        reports = self._view_reports.setdefault(target, {})
+        if hint.view <= reports.get(index, 0):
+            return
+        reports[index] = hint.view
+        if len(reports) <= spec.f:
+            return
+        view = sorted(reports.values(), reverse=True)[spec.f]
+        self._target_primary[target] = voter_name(
+            target, GroupConfig(n=spec.n).primary_of(view)
+        )
 
     def _retransmit_delay_us(self, attempt: int) -> int:
         """Backoff schedule: truncated binary exponential with jitter.

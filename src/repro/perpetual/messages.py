@@ -3,10 +3,15 @@
 The protocol of Figure 1 adds four message types around the two CLBFT
 instances:
 
-- :class:`OutRequest`   — stage 1: calling driver -> target voter primary;
+- :class:`OutRequest`   — stage 1: calling driver -> the target group's
+  current primary voter (the whole group on retransmission);
 - :class:`ReplyForward` — stage 5: target voter -> responder voter;
 - :class:`ReplyBundle`  — stage 6: responder -> every calling driver;
 - :class:`ResultSubmission` — stage 7: calling driver -> calling voters.
+
+and one off the fault-free path: :class:`ViewHint`, a target voter's
+answer to a *retransmitted* stage-1 copy, from which calling drivers
+learn which view (hence which primary) the target group is in.
 
 Plus the *local* (same-host) messages between a replica's driver and voter,
 and the construction of CLBFT agreement items. Agreement items are
@@ -54,6 +59,21 @@ class OutRequest:
     payload: Any
     responder_index: int
     attempt: int = 0
+
+
+@register
+@dataclass(frozen=True)
+class ViewHint:
+    """Target voter -> calling driver: "my group is in ``view``".
+
+    Sent only in answer to a retransmitted :class:`OutRequest`
+    (``attempt >= 1``), at most once per driver per view. The carrying
+    envelope's MAC names the voter; a driver believes a view once
+    ``ft + 1`` distinct voters of the group reported it or a higher one.
+    """
+
+    KIND: ClassVar[str] = "perp-view-hint"
+    view: int
 
 
 @register

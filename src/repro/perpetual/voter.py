@@ -58,6 +58,7 @@ from repro.perpetual.messages import (
     ReplyForward,
     ResultSubmission,
     UtilityRequest,
+    ViewHint,
     abort_item,
     item_kind,
     reply_auth_bytes,
@@ -189,6 +190,9 @@ class VoterNode(ProtocolNode):
         self._siblings_cache: list[str] | None = None
         self._caller_drivers_cache: dict[str, list[str]] = {}
 
+        # Highest view already hinted to each calling driver (view 0 is
+        # what a driver assumes unprompted, so it is never hinted).
+        self._hinted_view: dict[str, int] = {}
         # Stage-2 collection: match-key -> {calling driver name: (envelope, req)}.
         self._request_copies: dict[str, dict[str, tuple[WireEnvelope, OutRequest]]] = {}
         # Executed external requests: request-id -> agreed OutRequest meta.
@@ -376,6 +380,11 @@ class VoterNode(ProtocolNode):
             str(req.caller), caller_index
         ):
             return  # stage-1 requests come only from calling drivers
+        if req.attempt and self.replica.view > self._hinted_view.get(sender, 0):
+            # A retransmission: the driver's first attempt may have gone
+            # to a primary this group has left. Tell it, once per view.
+            self._hinted_view[sender] = self.replica.view
+            self._channel.send(sender, ViewHint(view=self.replica.view))
         if req.request_id in self._reply_store:
             # Already executed: a retry routes the stored reply to the
             # retry's responder (the fault-handling path for a faulty

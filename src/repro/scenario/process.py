@@ -68,6 +68,7 @@ from repro.scenario.runtime import (
     ScenarioMetrics,
     ServiceMetrics,
     observer_index,
+    view_lag,
 )
 from repro.scenario.spec import ScenarioSpec
 from repro.sharding import build_router
@@ -380,6 +381,7 @@ def _worker_main(
             "first_issue_us": driver.first_issue_us or 0,
             "last_completion_us": driver.last_completion_us,
             "view_changes": voter.replica.view_changes_completed,
+            "view": voter.replica.view,
             "reply_cache_size": voter.reply_cache_size,
             "counters": METRICS.snapshot(),
             "errors": list(host.errors),
@@ -774,6 +776,13 @@ class ProcessRuntime(Runtime):
                         if name == decl.name
                     ),
                     default=0,
+                ),
+                # Crashed replicas are never spawned, so every reporting
+                # worker is a live replica.
+                view_lag=view_lag(
+                    value.get("view", 0)
+                    for (name, _i), value in stats.items()
+                    if name == decl.name
                 ),
                 reply_cache_size=data.get("reply_cache_size", 0),
                 app=dict(data.get("app") or {}),

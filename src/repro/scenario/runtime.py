@@ -31,6 +31,15 @@ from repro.scenario.spec import ScenarioSpec
 RUNTIME_NAMES = ("sim", "threaded", "process", "asyncio")
 
 
+def live_indices(spec: ScenarioSpec, service: str) -> list[int]:
+    """Replica indices of ``service`` that no crash fault took out."""
+    crashed = {
+        f.index for f in spec.all_faults()
+        if f.kind == "crash" and f.service == service
+    }
+    return [i for i in range(spec.service(service).n) if i not in crashed]
+
+
 def observer_index(spec: ScenarioSpec, service: str) -> int:
     """The replica whose driver reports a service's metrics.
 
@@ -38,15 +47,14 @@ def observer_index(spec: ScenarioSpec, service: str) -> int:
     crash fault took it out — then the lowest live index observes, on
     every substrate identically.
     """
-    crashed = {
-        f.index for f in spec.all_faults()
-        if f.kind == "crash" and f.service == service
-    }
-    n = spec.service(service).n
-    for index in range(n):
-        if index not in crashed:
-            return index
-    return 0
+    live = live_indices(spec, service)
+    return live[0] if live else 0
+
+
+def view_lag(views) -> int:
+    """Spread of the CLBFT views a group's live replicas are in."""
+    views = list(views)
+    return max(views) - min(views) if views else 0
 
 
 @dataclass
@@ -62,6 +70,9 @@ class ServiceMetrics:
     last_completion_us: int = 0
     #: CLBFT view changes completed (max over the group's live replicas).
     view_changes: int = 0
+    #: Highest minus lowest CLBFT view over the group's live replicas:
+    #: 0 when healthy, > 0 while a replica has not rejoined its view.
+    view_lag: int = 0
     #: Observer voter's reply-store size (bounded by checkpoint GC).
     reply_cache_size: int = 0
     #: Application probe output (workload counters, TPC-W stats, ...).

@@ -33,7 +33,9 @@ from repro.scenario.runtime import (
     Runtime,
     ScenarioMetrics,
     ServiceMetrics,
+    live_indices,
     observer_index,
+    view_lag,
 )
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.kernel import Simulator, US_PER_S
@@ -373,6 +375,10 @@ class SimRuntime(Runtime):
                 view_changes=max(
                     v.replica.view_changes_completed
                     for v in deployed.group.voters
+                ),
+                view_lag=view_lag(
+                    deployed.group.voters[i].replica.view
+                    for i in live_indices(self._spec, name)
                 ),
                 reply_cache_size=voter.reply_cache_size,
                 app=probe() if probe is not None else {},

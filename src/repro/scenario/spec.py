@@ -162,8 +162,8 @@ class FaultSpec:
       ``heal_after_us`` deadline;
     - ``restart``: replica ``index`` of ``service`` crashes at
       ``params["down_after_us"]`` (default 0) and rejoins at
-      ``params["up_after_us"]``, catching up from retransmissions and
-      stable checkpoints.
+      ``params["up_after_us"]``, catching up with the group's view and
+      its stable checkpoints (no application state transfer).
 
     **Simulator only** (the other substrates' network is the actual
     machine, so per-link shaping cannot be enforced; ThreadedRuntime and

@@ -37,7 +37,9 @@ from repro.scenario.runtime import (
     Runtime,
     ScenarioMetrics,
     ServiceMetrics,
+    live_indices,
     observer_index,
+    view_lag,
 )
 from repro.scenario.spec import ScenarioSpec
 from repro.sharding import build_router
@@ -187,6 +189,10 @@ class ThreadedRuntime(Runtime):
                 last_completion_us=driver.last_completion_us,
                 view_changes=max(
                     v.replica.view_changes_completed for v in group.voters
+                ),
+                view_lag=view_lag(
+                    group.voters[i].replica.view
+                    for i in live_indices(self._spec, name)
                 ),
                 reply_cache_size=voter.reply_cache_size,
                 app=probe() if probe is not None else {},

@@ -1,7 +1,7 @@
 """Substrate conformance suite: one scenario matrix, every runtime.
 
 Any runtime registered in :data:`repro.scenario.runtime.RUNTIME_NAMES`
-must complete the same four workloads with the same observable outcome.
+must complete the same five workloads with the same observable outcome.
 Before this suite existed, the parity assertions were copy-pasted per
 substrate across ``test_scenario_runtimes.py`` / ``test_fault_parity.py``
 / ``test_sharded_runtimes.py`` — every new substrate meant editing all
@@ -9,7 +9,7 @@ of them. Now a substrate joins the matrix by joining ``RUNTIME_NAMES``
 (asyncio joined on day one), and ``test_conformance.py`` parametrizes
 the whole matrix with one ``@pytest.mark.parametrize("runtime", ...)``.
 
-The four cases, each the acceptance bar of the PR that introduced its
+The five cases, each the acceptance bar of the PR that introduced its
 capability:
 
 - **echo** — plain 4-replica echo parity (identical completed/aborted/
@@ -20,7 +20,11 @@ capability:
   workload genuinely aggregates (flush hooks: fewer envelopes, each
   batch amortising one MAC vector over several messages);
 - **sharded-echo** — a group-closed 2-group scenario with per-group
-  metric labels and routed-request counters (router injection).
+  metric labels and routed-request counters (router injection);
+- **restart-primary** — the target's view-0 primary is down across the
+  view change that replaces it and comes back mid-workload: every call
+  completes and the restarted replica ends in the group's view
+  (``view_lag == 0``; view-aware request path + rejoin).
 
 ``run_on`` is the shared runner: deploy, run, observe, tear down on any
 named runtime, asserting the substrate's own error channel is clean
@@ -34,6 +38,7 @@ from repro.scenario.presets import (
     two_tier_scenario,
 )
 from repro.scenario.runtime import RUNTIME_NAMES, Runtime, get_runtime
+from repro.scenario.spec import ScenarioBuilder
 
 #: The full substrate matrix. New runtimes join automatically.
 RUNTIMES = tuple(RUNTIME_NAMES)
@@ -42,6 +47,7 @@ ECHO_CALLS = 6
 DRIP_CALLS = 4
 WINDOW_CALLS = 8
 SHARDED_CALLS = 4
+RESTART_CALLS = 96
 
 
 def run_on(runtime, spec, until_s: float = 90):
@@ -64,7 +70,7 @@ def run_on(runtime, spec, until_s: float = 90):
         rt.shutdown()
 
 
-# -- the four cases ---------------------------------------------------------
+# -- the five cases ---------------------------------------------------------
 
 
 def check_echo(runtime) -> None:
@@ -135,10 +141,37 @@ def check_sharded_echo(runtime) -> None:
     assert_sharded_echo_shape(run_on(runtime, spec))
 
 
+def check_restart_primary(runtime) -> None:
+    # Down from 0.1 s to 1.5 s: the backups' view-change timer (0.5 s
+    # after the first retransmission) replaces the primary while it is
+    # away. Until it returns every fourth call waits one retransmission
+    # for its dead responder, so on any substrate well over a checkpoint
+    # interval of calls is left when it does: their view-1 traffic brings
+    # it back into the view, the next stable checkpoint carries it over
+    # the batches it missed, and it ends the run as an ordinary backup
+    # with nothing armed.
+    spec = (
+        ScenarioBuilder(f"conf-restart-{runtime}")
+        .duration(60)
+        .service("target", n=4, app="counter")
+        .service("caller", n=1, app="sync_caller",
+                 target="target", total_calls=RESTART_CALLS)
+        .restart("target", 0, up_after_us=1_500_000, down_after_us=100_000)
+        .build()
+    )
+    metrics = run_on(runtime, spec, until_s=30)
+    assert metrics.services["caller"].completed_calls == RESTART_CALLS
+    assert metrics.services["caller"].aborted_calls == 0
+    assert metrics.services["target"].view_changes >= 1
+    assert metrics.services["target"].view_lag == 0
+    assert metrics.counters["faults_injected"] >= 1
+
+
 #: Case name -> checker, the matrix's second axis.
 CASES = {
     "echo": check_echo,
     "chaos-slow-drip": check_chaos_slow_drip,
     "batching-window-4": check_batching_window_4,
     "sharded-echo": check_sharded_echo,
+    "restart-primary": check_restart_primary,
 }

@@ -8,7 +8,8 @@ cross-substrate runs all go through the conformance runner
 (:func:`tests.integration.conformance.run_on` — one parametrized matrix
 instead of per-substrate copies); sim-only ``link`` faults are rejected
 up front by every live substrate. The mute-primary liveness case
-(chaos-slow-drip) lives in the conformance matrix itself.
+(chaos-slow-drip) and the primary ``restart`` case (restart-primary,
+which ends with ``view_lag == 0``) live in the conformance matrix itself.
 """
 
 import pytest

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Pre-merge gate: static analysis clean, docs in sync, then tier-1 passes.
+# Pre-merge gate: static analysis clean, docs in sync, tier-1 passes, then a
+# 4-second `failover` benchmark run whose output checks must pass.
 # Run from the repo root:  sh tools/check.sh
 # Fast mode (analysis + docs + unit tests only, skips integration):
 #   sh tools/check.sh --fast
@@ -27,6 +28,8 @@ if [ "$FAST" = 1 ]; then
 else
     echo "== tier-1 tests (soak + net excluded) =="
     python -m pytest -x -q
+    echo "== bench failover smoke (primary restart: output checks must pass) =="
+    python3 -m bench --workload failover --seconds 4 --trace 0
 fi
 
 echo "== all gates passed =="
