@@ -51,7 +51,7 @@ def test_live_reply_path_message_count():
     from repro.common.encoding import decode_payload
     from repro.perpetual.messages import ReplyBundle, ReplyForward
     from repro.transport.wire import WireEnvelope
-    from repro.ws.deployment import Deployment
+    from repro.scenario.sim import Deployment
     from tests.integration.helpers import counter_service, scripted_caller
 
     deployment = Deployment(name="reply-count")

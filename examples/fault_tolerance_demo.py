@@ -16,9 +16,9 @@ Three scenarios on the same two-tier deployment (4-replica caller,
 Run:  python examples/fault_tolerance_demo.py
 """
 
+from repro.scenario.sim import Deployment
 from repro.sim.network import LanModel, PartitionModel
 from repro.ws.api import MessageContext, MessageHandler, Options
-from repro.ws.deployment import Deployment
 
 
 def counter_service():

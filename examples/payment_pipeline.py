@@ -14,9 +14,9 @@ Run:  python examples/payment_pipeline.py
 """
 
 from repro.apps.payment import bank_app, pge_app
+from repro.scenario.sim import Deployment
 from repro.sim.network import LanModel, PartitionModel
 from repro.ws.api import MessageContext, MessageHandler
-from repro.ws.deployment import Deployment
 
 
 def make_store(outcomes, payments):

@@ -9,8 +9,8 @@ network or containers required.
 Run:  python examples/quickstart.py
 """
 
+from repro.scenario.sim import Deployment
 from repro.ws.api import MessageContext, MessageHandler
-from repro.ws.deployment import Deployment
 
 
 def counter_service():

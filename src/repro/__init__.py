@@ -9,8 +9,8 @@ Architectures" (Pallemulle & Goldman, WUCSE-2007-53 / ICDCS 2008):
 - ``repro.soap``       -- a minimal SOAP / WS-Addressing engine (Axis2 stand-in).
 - ``repro.ws``         -- the Perpetual-WS middleware and public API.
 - ``repro.sim``        -- deterministic discrete-event simulation substrate.
-- ``repro.scenario``   -- declarative deployment: one ScenarioSpec, three
-  runtimes (sim / threaded / process).
+- ``repro.scenario``   -- declarative deployment: one ScenarioSpec, four
+  runtimes (sim / threaded / asyncio / process).
 - ``repro.tpcw``       -- the TPC-W macro-benchmark (bookstore, RBEs, PGE, bank).
 
 The top-level package re-exports the public API a downstream user needs to
@@ -46,8 +46,8 @@ from repro.scenario import (
     get_runtime,
     run_scenario,
 )
+from repro.scenario.sim import Deployment, ServiceDeployment
 from repro.ws.api import MessageContext, MessageHandler, Utils
-from repro.ws.deployment import Deployment, ServiceDeployment
 
 __all__ = [
     "AuthenticationError",

@@ -1,9 +1,10 @@
 """Lock-discipline race checker for the live substrates.
 
 A two-pass, per-class analysis of the modules whose state real threads
-share: :mod:`repro.runtime.cluster` (node workers + timer wheel),
-:mod:`repro.scenario.process` (router/egress pair), and
-:mod:`repro.scenario.threaded`.
+share: :mod:`repro.runtime.cluster` (node consumer threads + timer
+wheel) over :mod:`repro.runtime.host` (the timer heap and event count
+the wheel's condition guards), :mod:`repro.scenario.process`
+(router/egress pair), and :mod:`repro.scenario.threaded`.
 
 Pass 1 infers the class's *thread entry points* — methods handed to
 ``threading.Thread(target=...)`` (directly or inside a lambda) — and
@@ -41,6 +42,7 @@ from repro.analysis.core import Rule, SourceFile, Violation, register, self_attr
 #: Modules the checker covers: where real threads mutate shared state.
 LOCK_SCOPE = (
     "runtime/cluster.py",
+    "runtime/host.py",
     "runtime/sanitizer.py",
     "scenario/process.py",
     "scenario/threaded.py",

@@ -3,9 +3,10 @@
 :class:`Topology` is the in-memory form of the paper's ``replicas.xml``
 (section 5.2): every deployment ships a static map from service name to
 replica-group description because UDDI cannot resolve replicated endpoint
-references. :class:`ServiceGroup` deploys one service's voters and drivers
-on the simulation kernel, co-locating each replica's pair on one simulated
-host CPU exactly as the paper co-locates them on one machine.
+references. :func:`deploy_service` deploys one service's voters and drivers
+as a :class:`ServiceGroup` on the simulation kernel or a real-clock node
+host, co-locating each replica's pair (on the simulator: on one simulated
+host CPU) exactly as the paper co-locates them on one machine.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.crypto.keys import KeyStore
 from repro.perpetual.driver import DriverNode
 from repro.perpetual.executor import AppFactory
 from repro.perpetual.voter import VoterNode, driver_name, voter_name
-from repro.sim.kernel import Simulator
 
 
 @dataclass
@@ -130,7 +130,7 @@ def build_replica(
 
 
 def deploy_service(
-    sim: Simulator,
+    substrate: Any,
     topology: Topology,
     keys: KeyStore,
     service: str,
@@ -144,13 +144,19 @@ def deploy_service(
     router: Any | None = None,
     home_group: str | None = None,
 ) -> ServiceGroup:
-    """Deploy every replica of ``service`` onto the simulator.
+    """Deploy every replica of ``service`` onto ``substrate``.
 
-    The voter and driver of replica ``i`` share the simulated host
-    ``{service}/h{i}`` so their work serialises on one CPU, matching the
-    paper's co-location of both halves on a single machine. ``hosts``
-    overrides the host names, letting several services share machines
-    (the TPC-W setup runs every RBE on one host).
+    ``substrate`` is whatever hands out node environments through
+    ``add_node(node_id, node, host=)``: the :class:`~repro.sim.kernel
+    .Simulator` or a real-clock :class:`~repro.runtime.host.NodeHost`
+    scheduler — the one deploy path of every in-process substrate.
+
+    On the simulator the voter and driver of replica ``i`` share the
+    simulated host ``{service}/h{i}`` so their work serialises on one
+    CPU, matching the paper's co-location of both halves on a single
+    machine. ``hosts`` overrides the host names, letting several
+    services share machines (the TPC-W setup runs every RBE on one
+    host). Real-clock substrates ignore the placement.
     """
     spec = topology.spec(service)
     voters: list[VoterNode] = []
@@ -174,8 +180,12 @@ def deploy_service(
             router=router,
             home_group=home_group,
         )
-        voter.attach(sim.add_node(voter_name(service, index), voter, host=host))
+        voter.attach(
+            substrate.add_node(voter_name(service, index), voter, host=host)
+        )
         voters.append(voter)
-        drv.attach(sim.add_node(driver_name(service, index), drv, host=host))
+        drv.attach(
+            substrate.add_node(driver_name(service, index), drv, host=host)
+        )
         drivers.append(drv)
     return ServiceGroup(service=service, voters=voters, drivers=drivers)

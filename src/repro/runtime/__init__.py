@@ -1,19 +1,20 @@
-"""The threaded in-process runtime substrate.
+"""The real-clock node host and its schedulers.
 
 This package hosts the *same protocol nodes* the simulator runs on real
-OS threads with queue-based message passing, demonstrating that the
-sans-IO protocol layer is substrate-independent (the ChannelAdapter /
-Connection split of paper section 2.1.2) and giving the integration
-tests a genuinely concurrent environment — messages race, timers fire
-asynchronously, and the protocol must still converge.
+clocks, demonstrating that the sans-IO protocol layer is
+substrate-independent (the ChannelAdapter / Connection split of paper
+section 2.1.2). :mod:`repro.runtime.host` holds, once, what every such
+substrate needs — the eight-method node environment, one timer heap,
+the start/handle/flush/record-error step and the exact unprocessed-event
+count; a scheduler adds only a mailbox type and what blocks:
+:mod:`repro.runtime.cluster` (OS threads — messages race, timers fire
+asynchronously, and the protocol must still converge),
+:mod:`repro.runtime.aio` (tasks on one asyncio loop), and the worker
+loop of :mod:`repro.scenario.process` (one OS process per replica).
 
-Deployments should not wire this cluster by hand: the single entry point
-is the declarative scenario API — build a
+Deployments should not wire these by hand: build a
 :class:`repro.scenario.ScenarioSpec` and execute it with
-``run_scenario(spec, runtime="threaded")`` (see
-:class:`repro.scenario.threaded.ThreadedRuntime`, which drives this
-cluster; ``runtime="process"`` selects the sibling multi-process
-substrate in :mod:`repro.scenario.process`).
+``run_scenario(spec, runtime="threaded" | "asyncio" | "process")``.
 
 Contract: shared structures are written under their owning lock or
 carry a checked ``guarded-by`` annotation — the LOCK001 discipline of

@@ -1,30 +1,29 @@
-"""An asyncio cluster hosting the same protocol nodes as the simulator.
+"""The asyncio scheduler: every protocol node a task on one event loop.
 
-Every voter and driver gets an :class:`asyncio.Queue` inbox drained by
-one consumer task, all sharing a single event loop — the single-loop
-replica shape of the flexible-BFT lineage: cheaper than one OS thread
-per node at high node counts, and the natural seat for socket I/O. The
-per-node environment exposes the same duck-typed surface as
-:class:`repro.sim.kernel.SimNodeEnv` (``send``, ``local_deliver``,
-``set_timer``, ``cancel_timer``, ``now_us``, ``now_ms``, ``charge``), so
-voters, drivers, and CLBFT nodes run unchanged.
+A :class:`~repro.runtime.host.NodeHost` whose mailboxes are
+:class:`asyncio.Queue`\\ s, each drained by one consumer task, all
+sharing a single event loop — the single-loop replica shape of the
+flexible-BFT lineage: cheaper than one OS thread per node at high node
+counts, and the natural seat for socket I/O.
 
-Timers map onto the loop: ``set_timer`` is an :meth:`asyncio.loop
-.call_later` handle keyed ``(node_key, tag)``; re-arming cancels the old
-handle, and a firing posts a timer event into the node's inbox so timer
-handling serialises with message handling in the node's consumer task —
-exactly the ordering contract the threaded wheel provides.
+Timers map onto the loop through the host's one heap: a single
+``call_later`` wake is kept at the heap's earliest deadline (moved
+earlier when a sooner timer is armed), and a firing posts a timer event
+into the node's inbox, so timer handling serialises with message
+handling in the node's consumer task — exactly the ordering contract
+the threaded wheel provides. Timers armed before the loop exists
+(deploy time) simply wait in the heap until :meth:`AioCluster.run`
+schedules the first wake.
 
 Handlers are synchronous protocol code. Because the loop is single
 threaded, only one handler runs at a time; concurrency here is the
-*interleaving* of node tasks, not parallelism. ``charge`` is a no-op:
-real CPU time is real.
+*interleaving* of node tasks, not parallelism — and whenever the
+monitor in :meth:`AioCluster.run` holds the loop no handler is
+mid-flight, so the host's ``unprocessed`` count needs no lock.
 
 This module is the substrate only; deploy onto it through the scenario
 API (:mod:`repro.scenario`, ``runtime="asyncio"``) rather than wiring
-nodes by hand. The scenario layer owns the loop's lifecycle: it calls
-:meth:`AioCluster.bind_running_loop` from inside the loop, spawns the
-consumer tasks into a task group, and stops the cluster at quiescence.
+nodes by hand.
 """
 
 from __future__ import annotations
@@ -32,250 +31,112 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable
 
+from repro.runtime.host import MSG, POLL_S, START, TIMER, NodeEnv, NodeHost
 from repro.sim.kernel import ProtocolNode
 
 _STOP = object()
 
 
-class _AioTimerTable:
-    """All nodes' timers as cancellable ``call_later`` handles."""
-
-    def __init__(self) -> None:
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._entries: dict[tuple[str, Any], asyncio.TimerHandle] = {}
-        #: Timers armed before the loop exists (deploy-time arming);
-        #: converted to real handles the moment the loop binds.
-        self._pending: dict[
-            tuple[str, Any], tuple[int, Callable[[Any], None]]
-        ] = {}
-
-    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._loop = loop
-        pending, self._pending = self._pending, {}
-        for (node_key, tag), (delay_us, fire) in pending.items():
-            self.set_timer(node_key, tag, delay_us, fire)
-
-    def set_timer(self, node_key: str, tag: Any, delay_us: int,
-                  fire: Callable[[Any], None]) -> None:
-        self.cancel_timer(node_key, tag)
-        if self._loop is None:
-            self._pending[(node_key, tag)] = (delay_us, fire)
-            return
-        handle = self._loop.call_later(
-            delay_us / 1_000_000.0, self._fire, node_key, tag, fire
-        )
-        self._entries[(node_key, tag)] = handle
-
-    def _fire(self, node_key: str, tag: Any, fire: Callable[[Any], None]) -> None:
-        # A fired timer is no longer armed. The callback only runs if the
-        # handle was never cancelled; a re-arm replaced the mapping and
-        # cancelled this handle, so whatever is stored is not this one.
-        self._entries.pop((node_key, tag), None)
-        fire(tag)
-
-    def cancel_timer(self, node_key: str, tag: Any) -> None:
-        self._pending.pop((node_key, tag), None)
-        handle = self._entries.pop((node_key, tag), None)
-        if handle is not None:
-            handle.cancel()
-
-    def armed(self, node_key: str, tag: Any) -> bool:
-        return (node_key, tag) in self._entries or (
-            (node_key, tag) in self._pending
-        )
-
-    def armed_count(self) -> int:
-        """Timers currently armed (set, not yet fired or cancelled)."""
-        return len(self._entries) + len(self._pending)
-
-    def stop(self) -> None:
-        for handle in self._entries.values():
-            handle.cancel()
-        self._entries.clear()
-        self._pending.clear()
-
-
-class _AioEnv:
-    """Per-node environment with the SimNodeEnv surface."""
-
-    def __init__(self, cluster: "AioCluster", node_id: Any) -> None:
-        self._cluster = cluster
-        self.node_id = node_id
-        self._key = str(node_id)
-
-    def now_us(self) -> int:
-        return self._cluster.now_us()
-
-    def now_ms(self) -> int:
-        return self.now_us() // 1000
-
-    def charge(self, cpu_us: int) -> None:
-        """No-op: on a real event loop, CPU time is consumed by running."""
-
-    def send(self, dst: Any, msg: Any, size_bytes: int = 256) -> None:
-        self._cluster.post(self._key, str(dst), msg)
-
-    def local_deliver(self, dst: Any, msg: Any) -> None:
-        self._cluster.post(self._key, str(dst), msg)
-
-    def set_timer(self, tag: Any, delay_us: int) -> None:
-        self._cluster.timers.set_timer(
-            self._key, tag, delay_us,
-            lambda t: self._cluster.post_timer(self._key, t),
-        )
-
-    def cancel_timer(self, tag: Any) -> None:
-        self._cluster.timers.cancel_timer(self._key, tag)
-
-    def timer_armed(self, tag: Any) -> bool:  # pragma: no cover - parity
-        return self._cluster.timers.armed(self._key, tag)
-
-
-class _AioNodeWorker:
-    """One consumer task per node: inbox in, handler calls out."""
-
-    def __init__(self, key: str, node: ProtocolNode) -> None:
-        self.key = key
-        self.node = node
-        #: Unbounded, loop-agnostic until first await — safe to create
-        #: (and ``put_nowait`` into) before the loop exists.
-        self.inbox: asyncio.Queue = asyncio.Queue()
-        self.errors: list[BaseException] = []
-        self.task: asyncio.Task | None = None
-
-
-class AioCluster:
+class AioCluster(NodeHost):
     """Hosts protocol nodes as tasks on one asyncio event loop.
 
     Usage mirrors the threaded cluster: ``add_node`` everything at
-    deploy time, then — inside the loop — ``bind_running_loop()``,
-    ``spawn(task_group)``, and finally ``request_stop()``. Quiescence is
-    exact here, not sampled: the loop is single threaded, so whenever
-    the monitor coroutine runs, no handler is mid-flight, and
-    ``inboxes_empty()`` counts *unprocessed* events (enqueued minus
-    handled), which closes the dequeued-but-not-yet-handled window the
-    threaded substrate has to settle over.
+    deploy time, then :meth:`run`, which owns the loop's whole life.
     """
 
     def __init__(self) -> None:
-        self.timers = _AioTimerTable()
-        self._workers: dict[str, _AioNodeWorker] = {}
-        self.dropped: set[str] = set()
+        super().__init__()
+        #: Unbounded and loop-agnostic until first awaited — safe to
+        #: create (and ``put_nowait`` into) before the loop exists.
+        self._inboxes: dict[str, asyncio.Queue] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._epoch = 0.0
-        #: Events enqueued but not yet fully handled (messages + timer
-        #: firings). Single-threaded increments/decrements: exact.
-        self._unprocessed = 0
-        self._started_nodes = 0
-
-    # -- deploy-time surface -------------------------------------------
+        self._wake: asyncio.TimerHandle | None = None
+        self._wake_at = 0.0
 
     def add_node(self, node_id: Any, node: ProtocolNode,
-                 host: str | None = None) -> _AioEnv:
-        key = str(node_id)
-        self._workers[key] = _AioNodeWorker(key, node)
-        return _AioEnv(self, node_id)
+                 host: str | None = None) -> NodeEnv:
+        self._inboxes[str(node_id)] = asyncio.Queue()
+        return super().add_node(node_id, node)
 
-    def drop_node(self, node_id: Any) -> None:
-        """Crash a node: it stops sending and receiving."""
-        self.dropped.add(str(node_id))
+    def run(self, settled: Callable[[], bool], budget_s: float) -> None:
+        """Run a fresh loop until ``settled()`` or the budget elapses."""
+        asyncio.run(self._drive(settled, budget_s))
 
-    # -- loop lifecycle (called from inside the running loop) ----------
-
-    def bind_running_loop(self) -> None:
+    async def _drive(self, settled: Callable[[], bool], budget_s: float) -> None:
         # The one sanctioned loop acquisition in this module: the
-        # substrate boundary pins the driving loop as the cluster clock
-        # (env.now_us reads loop.time() relative to this epoch) and arms
-        # any deploy-time timers. Protocol code above this line never
-        # touches the loop — DET006 keeps that structural.
-        loop = asyncio.get_running_loop()  # analysis: allow(DET006) -- substrate boundary: the cluster adapts the loop clock to env.now_us
+        # substrate boundary pins the driving loop, restarts the
+        # env.now_us clock and wakes for any deploy-time timers.
+        # Protocol code above this line never touches the loop — DET006
+        # keeps that structural.
+        loop = asyncio.get_running_loop()  # analysis: allow(DET006) -- substrate boundary: the cluster owns the loop it runs on
         self._loop = loop
-        self._epoch = loop.time()
-        self.timers.bind(loop)
-
-    def spawn(self, task_group: asyncio.TaskGroup) -> None:
-        for worker in self._workers.values():
-            worker.task = task_group.create_task(self._consume(worker))
-
-    def request_stop(self) -> None:
-        """Stop every consumer after its queued work; disarm timers."""
-        self.timers.stop()
-        for worker in self._workers.values():
-            worker.inbox.put_nowait(_STOP)
-
-    async def _consume(self, worker: _AioNodeWorker) -> None:
-        # Tick batching: a handler's buffered channel output is released
-        # as soon as its handler returns — one inbox dequeue is the
-        # asyncio analogue of a kernel tick. Window batching instead
-        # arms a flush timer through set_timer, which lands here as a
-        # timer event like any other.
-        node = worker.node
-        flush = node.on_flush if node.wants_flush else None
-        try:
-            node.on_start()
-            if flush is not None:
-                flush()
-        except Exception as exc:  # pragma: no cover - diagnostics
-            worker.errors.append(exc)
-        finally:
-            self._started_nodes += 1
-        while True:
-            item = await worker.inbox.get()
-            if item is _STOP:
-                return
-            kind, src, payload = item
+        self.restart_clock()
+        self._reschedule()
+        deadline = loop.time() + budget_s
+        async with asyncio.TaskGroup() as task_group:
+            for key in self.nodes:
+                task_group.create_task(self._consume(key))
             try:
-                if kind == "msg":
-                    node.on_message(src, payload)
-                else:
-                    node.on_timer(payload)
-                if flush is not None:
-                    flush()
-            except Exception as exc:
-                worker.errors.append(exc)
+                while loop.time() < deadline and not settled():
+                    await asyncio.sleep(POLL_S)  # analysis: allow(DET006) -- substrate boundary: the monitor's poll, not protocol time
             finally:
-                self._unprocessed -= 1
+                # Settled, out of budget, or settled() raised: either
+                # way every consumer must be told to exit or the task
+                # group would wait forever.
+                self.shutdown()
+                for inbox in self._inboxes.values():
+                    inbox.put_nowait(_STOP)
 
-    # -- event posting --------------------------------------------------
+    def shutdown(self) -> None:
+        """Idempotent release: disarm timers; tasks die with the loop."""
+        self.timers.clear()
+        if self._wake is not None:
+            self._wake.cancel()
+            self._wake = None
 
-    def now_us(self) -> int:
-        if self._loop is None:
-            return 0
-        return int((self._loop.time() - self._epoch) * 1_000_000)
+    # -- events -----------------------------------------------------------
+
+    async def _consume(self, key: str) -> None:
+        inbox = self._inboxes[key]
+        item = (START, None, None)
+        while item is not _STOP:
+            self.step(key, *item)
+            self.unprocessed -= 1
+            item = await inbox.get()
 
     def post(self, src: str, dst: str, msg: Any) -> None:
         if dst in self.dropped or src in self.dropped:
             return
-        worker = self._workers.get(dst)
-        if worker is not None:
-            worker.inbox.put_nowait(("msg", src, msg))
-            self._unprocessed += 1
+        inbox = self._inboxes.get(dst)
+        if inbox is not None:
+            inbox.put_nowait((MSG, src, msg))
+            self.unprocessed += 1
 
-    def post_timer(self, node_key: str, tag: Any) -> None:
-        if node_key in self.dropped:
-            return
-        worker = self._workers.get(node_key)
-        if worker is not None:
-            worker.inbox.put_nowait(("timer", None, tag))
-            self._unprocessed += 1
+    # -- timers -----------------------------------------------------------
 
-    # -- observation -----------------------------------------------------
+    def arm_timer(self, node: str, tag: Any, delay_us: int) -> float:
+        deadline = super().arm_timer(node, tag, delay_us)
+        if self._wake is None or deadline < self._wake_at:
+            self._reschedule()
+        return deadline
 
-    def errors(self) -> list[BaseException]:
-        return [e for w in self._workers.values() for e in w.errors]
+    def _reschedule(self) -> None:
+        """Keep the one wake at the heap's earliest live deadline."""
+        if self._wake is not None:
+            self._wake.cancel()
+            self._wake = None
+        deadline = self.timers.next_deadline()
+        if deadline is not None and self._loop is not None:
+            self._wake_at = deadline
+            self._wake = self._loop.call_later(
+                self.until(deadline), self._fire_due
+            )
 
-    def all_started(self) -> bool:
-        """Every node's ``on_start`` has run (or crashed and was logged)."""
-        return self._started_nodes == len(self._workers)
-
-    def mailboxes_empty(self) -> bool:
-        """True when no enqueued event awaits handling anywhere."""
-        return self._unprocessed == 0
-
-    def timers_armed(self) -> int:
-        """Timers currently armed across all nodes."""
-        return self.timers.armed_count()
-
-    def shutdown(self) -> None:
-        """Idempotent release: disarm timers; tasks died with the loop."""
-        self.timers.stop()
+    def _fire_due(self) -> None:
+        self._wake = None
+        for key, tag in self.due_timers():
+            inbox = self._inboxes.get(key)
+            if inbox is not None and key not in self.dropped:
+                inbox.put_nowait((TIMER, None, tag))
+                self.unprocessed += 1
+        self._reschedule()

@@ -1,14 +1,21 @@
-"""A threaded cluster hosting the same protocol nodes as the simulator.
+"""The threaded scheduler: one OS thread per protocol node.
 
-Each node gets one consumer thread draining a thread-safe mailbox; a
-shared timer wheel thread services ``set_timer``. The environment object
-exposes the same duck-typed surface as :class:`repro.sim.kernel.SimNodeEnv`
-(``send``, ``local_deliver``, ``set_timer``, ``cancel_timer``, ``now_us``,
-``now_ms``, ``charge``), so voters, drivers, and CLBFT nodes run unchanged.
+A :class:`~repro.runtime.host.NodeHost` whose mailboxes are
+``queue.Queue``\\ s, each drained by its node's own consumer thread,
+plus one wheel thread that sleeps until the timer heap's next deadline
+and posts what fired. Determinism holds per replica (the protocol
+guarantees it), but event interleaving across nodes is genuinely racy —
+which is the point of testing on this substrate.
 
-``charge`` is a no-op here: real CPU time is real. Determinism holds per
-replica (the protocol guarantees it), but event interleaving across nodes
-is genuinely racy — which is the point of testing on this substrate.
+One condition, ``_cv``, guards everything two threads write: the timer
+heap and the ``unprocessed`` count. They must share a lock for
+:meth:`ThreadedCluster.idle` to be exact — the wheel pops a due timer
+and counts its firing as unprocessed inside one critical section, so no
+observer can see "nothing armed, nothing unprocessed" while a popped
+timer is still on its way to a mailbox. The node table and ``dropped``
+are written by the deploying thread only; each node's error list by its
+own consumer thread only. ``debug_locks=True`` wraps all four in the
+assert-owner proxies of :mod:`repro.runtime.sanitizer`.
 
 This module is the substrate only; deploy onto it through the scenario
 API (:mod:`repro.scenario`, ``runtime="threaded"``) rather than wiring
@@ -17,254 +24,126 @@ nodes by hand.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import queue
 import threading
 import time
 from typing import Any, Callable
 
+from repro.runtime.host import MSG, POLL_S, START, TIMER, NodeEnv, NodeHost
 from repro.runtime.sanitizer import guarded_dict, guarded_list, guarded_set
 from repro.sim.kernel import ProtocolNode
-
-
-class _TimerWheel:
-    """One thread servicing all nodes' timers."""
-
-    def __init__(self, debug_locks: bool = False) -> None:
-        self._heap: list[tuple[float, int, object]] = []
-        self._entries: dict[tuple[str, Any], object] = {}
-        self._seq = itertools.count()
-        self._cv = threading.Condition()
-        if debug_locks:
-            # Assert-owner proxy: every mutation of the timer table must
-            # hold the wheel's condition, exactly what the static
-            # LOCK001 pass concluded lexically.
-            self._entries = guarded_dict("_TimerWheel._entries", self._cv)
-        self._stopped = False
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def set_timer(self, node_key: str, tag: Any, delay_us: int,
-                  fire: Callable[[Any], None]) -> None:
-        deadline = time.monotonic() + delay_us / 1_000_000.0
-        entry = {"key": node_key, "tag": tag, "fire": fire, "cancelled": False}
-        with self._cv:
-            old = self._entries.pop((node_key, tag), None)
-            if old is not None:
-                old["cancelled"] = True
-            self._entries[(node_key, tag)] = entry
-            heapq.heappush(self._heap, (deadline, next(self._seq), entry))
-            self._cv.notify()
-
-    def cancel_timer(self, node_key: str, tag: Any) -> None:
-        with self._cv:
-            entry = self._entries.pop((node_key, tag), None)
-            if entry is not None:
-                entry["cancelled"] = True
-
-    def armed_count(self) -> int:
-        """Timers currently armed (set, not yet fired or cancelled)."""
-        with self._cv:
-            return len(self._entries)
-
-    def stop(self) -> None:
-        with self._cv:
-            self._stopped = True
-            self._cv.notify()
-        self._thread.join(timeout=2)
-
-    def _run(self) -> None:
-        while True:
-            with self._cv:
-                if self._stopped:
-                    return
-                if not self._heap:
-                    self._cv.wait(timeout=0.1)
-                    continue
-                deadline, _, entry = self._heap[0]
-                now = time.monotonic()
-                if deadline > now:
-                    self._cv.wait(timeout=min(deadline - now, 0.1))
-                    continue
-                heapq.heappop(self._heap)
-                if entry["cancelled"]:
-                    continue
-                # A fired timer is no longer armed (unless re-armed since,
-                # in which case the mapping already points elsewhere).
-                if self._entries.get((entry["key"], entry["tag"])) is entry:
-                    del self._entries[(entry["key"], entry["tag"])]
-                fire, tag = entry["fire"], entry["tag"]
-            try:
-                fire(tag)
-            except Exception:  # a faulty node's timer must not kill the wheel
-                pass
-
-
-class _ThreadedEnv:
-    """Per-node environment with the SimNodeEnv surface."""
-
-    def __init__(self, cluster: "ThreadedCluster", node_id: Any) -> None:
-        self._cluster = cluster
-        self.node_id = node_id
-        self._key = str(node_id)
-
-    def now_us(self) -> int:
-        return int((time.monotonic() - self._cluster.epoch) * 1_000_000)
-
-    def now_ms(self) -> int:
-        return self.now_us() // 1000
-
-    def charge(self, cpu_us: int) -> None:
-        """No-op: on real threads, CPU time is consumed by running."""
-
-    def send(self, dst: Any, msg: Any, size_bytes: int = 256) -> None:
-        self._cluster.post(self._key, str(dst), msg)
-
-    def local_deliver(self, dst: Any, msg: Any) -> None:
-        self._cluster.post(self._key, str(dst), msg)
-
-    def set_timer(self, tag: Any, delay_us: int) -> None:
-        self._cluster.timers.set_timer(
-            self._key, tag, delay_us,
-            lambda t: self._cluster.post_timer(self._key, t),
-        )
-
-    def cancel_timer(self, tag: Any) -> None:
-        self._cluster.timers.cancel_timer(self._key, tag)
-
-    def timer_armed(self, tag: Any) -> bool:  # pragma: no cover - parity
-        return (self._key, tag) in self._cluster.timers._entries
-
-
-class _NodeWorker:
-    """One consumer thread per node: mailbox in, handler calls out."""
-
-    def __init__(self, key: str, node: ProtocolNode,
-                 debug_locks: bool = False) -> None:
-        self.key = key
-        self.node = node
-        self.mailbox: queue.Queue = queue.Queue()
-        self.errors: list[BaseException] = []
-        if debug_locks:
-            # Only this worker's own thread appends; readers (the
-            # cluster's errors() sweep) go through list reads, which the
-            # proxy passes through unchecked.
-            self.errors = guarded_list(f"_NodeWorker[{key}].errors")
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._started = False
-
-    def start(self) -> None:
-        if not self._started:
-            self._started = True
-            self._thread.start()
-
-    def _run(self) -> None:
-        # Tick batching: a handler's buffered channel output is released
-        # as soon as its handler returns — the worker thread's dequeue
-        # loop is the threaded analogue of a kernel tick.
-        flush = self.node.on_flush if self.node.wants_flush else None
-        try:
-            self.node.on_start()
-            if flush is not None:
-                flush()
-        except Exception as exc:  # pragma: no cover - diagnostics
-            self.errors.append(exc)
-        while True:
-            item = self.mailbox.get()
-            if item is _STOP:
-                return
-            kind, src, payload = item
-            try:
-                if kind == "msg":
-                    self.node.on_message(src, payload)
-                else:
-                    self.node.on_timer(payload)
-                if flush is not None:
-                    flush()
-            except Exception as exc:
-                self.errors.append(exc)
-
 
 _STOP = object()
 
 
-class ThreadedCluster:
+class ThreadedCluster(NodeHost):
     """Hosts protocol nodes on real threads.
 
     Usage mirrors the simulator: ``add_node`` everything, then
-    :meth:`start`; :meth:`await_quiescent` parks until mailboxes drain.
+    :meth:`run` (or :meth:`start` and observe), finally :meth:`shutdown`.
     """
 
     def __init__(self, debug_locks: bool = False) -> None:
-        self.epoch = time.monotonic()
+        super().__init__()
         self.debug_locks = debug_locks
-        self.timers = _TimerWheel(debug_locks=debug_locks)
-        self._workers: dict[str, _NodeWorker] = {}
-        self._started = False
-        self.dropped: set[str] = set()
+        self._cv = threading.Condition()
+        self._mailboxes: dict[str, queue.Queue] = {}
+        self._threads: list[threading.Thread] = []
+        self._stopped = False
         if debug_locks:
-            # The deploying thread owns topology: node registration and
-            # crash faults are main-thread operations; handler threads
-            # only ever *read* these structures.
-            self._workers = guarded_dict("ThreadedCluster._workers")
+            # Assert-owner proxies: every mutation of the timer table
+            # must hold the condition — exactly what the static LOCK001
+            # pass concluded lexically — and topology (registration,
+            # crash faults) belongs to the deploying thread; handler
+            # threads only ever *read* it.
+            self.timers._entries = guarded_dict("TimerHeap._entries", self._cv)
+            self.nodes = guarded_dict("ThreadedCluster.nodes")
             self.dropped = guarded_set("ThreadedCluster.dropped")
+        self._wheel = threading.Thread(target=self._run_wheel, daemon=True)
+        self._wheel.start()
 
-    def add_node(self, node_id: Any, node: ProtocolNode, host: str | None = None):
+    def add_node(self, node_id: Any, node: ProtocolNode,
+                 host: str | None = None) -> NodeEnv:
+        with self._cv:
+            env = super().add_node(node_id, node)
         key = str(node_id)
-        worker = _NodeWorker(key, node, debug_locks=self.debug_locks)
-        self._workers[key] = worker
-        if self._started:
-            worker.start()
-        return _ThreadedEnv(self, node_id)
+        if self.debug_locks:
+            # Only this node's consumer thread appends; errors() reads,
+            # which the proxy passes through unchecked.
+            self._errors[key] = guarded_list(f"errors[{key}]")
+        self._mailboxes[key] = queue.Queue()
+        return env
 
     def start(self) -> None:
-        self._started = True
-        for worker in self._workers.values():
-            worker.start()
+        """Start a consumer thread for every node not yet running."""
+        for key in list(self.nodes)[len(self._threads):]:
+            thread = threading.Thread(
+                target=self._run_node, args=(key,), daemon=True
+            )
+            self._threads.append(thread)
+            thread.start()
 
-    def post(self, src: str, dst: str, msg: Any) -> None:
-        if dst in self.dropped or src in self.dropped:
-            return
-        worker = self._workers.get(dst)
-        if worker is not None:
-            worker.mailbox.put(("msg", src, msg))
-
-    def post_timer(self, node_key: str, tag: Any) -> None:
-        if node_key in self.dropped:
-            return
-        worker = self._workers.get(node_key)
-        if worker is not None:
-            worker.mailbox.put(("timer", None, tag))
-
-    def drop_node(self, node_id: Any) -> None:
-        """Crash a node: it stops sending and receiving."""
-        self.dropped.add(str(node_id))
-
-    def errors(self) -> list[BaseException]:
-        return [e for w in self._workers.values() for e in w.errors]
-
-    def mailboxes_empty(self) -> bool:
-        """True when no node has queued messages or timer firings."""
-        return all(w.mailbox.empty() for w in self._workers.values())
-
-    def timers_armed(self) -> int:
-        """Timers currently armed across all nodes."""
-        return self.timers.armed_count()
-
-    def await_quiescent(self, settle_s: float = 0.05, timeout_s: float = 10.0) -> bool:
-        """Wait until every mailbox stays empty for ``settle_s``."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self.mailboxes_empty():
-                time.sleep(settle_s)
-                if self.mailboxes_empty():
-                    return True
-            else:
-                time.sleep(0.005)
-        return False
+    def run(self, settled: Callable[[], bool], budget_s: float) -> None:
+        """Start, then park until ``settled()`` or the budget elapses."""
+        self.start()
+        deadline = time.monotonic() + budget_s
+        while time.monotonic() < deadline and not settled():
+            time.sleep(POLL_S)
 
     def shutdown(self) -> None:
-        for worker in self._workers.values():
-            worker.mailbox.put(_STOP)
-        self.timers.stop()
+        for mailbox in self._mailboxes.values():
+            mailbox.put(_STOP)
+        with self._cv:
+            self._stopped = True
+            self._cv.notify()
+        self._wheel.join(timeout=2)
+
+    # -- events -----------------------------------------------------------
+
+    def post(self, src: str, dst: str, msg: Any) -> None:
+        if src not in self.dropped:
+            self._enqueue(dst, (MSG, src, msg))
+
+    def _enqueue(self, key: str, item: tuple) -> None:
+        mailbox = self._mailboxes.get(key)
+        if mailbox is not None and key not in self.dropped:
+            with self._cv:
+                self.unprocessed += 1
+            mailbox.put(item)
+
+    def _run_node(self, key: str) -> None:
+        mailbox = self._mailboxes[key]
+        item = (START, None, None)
+        while item is not _STOP:
+            self.step(key, *item)
+            with self._cv:
+                self.unprocessed -= 1
+            item = mailbox.get()
+
+    # -- timers -----------------------------------------------------------
+
+    def arm_timer(self, node: str, tag: Any, delay_us: int) -> float:
+        with self._cv:
+            self._cv.notify()
+            return super().arm_timer(node, tag, delay_us)
+
+    def disarm_timer(self, node: str, tag: Any) -> None:
+        with self._cv:
+            self.timers.cancel(node, tag)
+
+    def _run_wheel(self) -> None:
+        with self._cv:
+            while not self._stopped:
+                # Popped and counted under one hold of the condition: a
+                # firing is unprocessed before it stops being armed.
+                for key, tag in self.due_timers():
+                    self._enqueue(key, (TIMER, None, tag))
+                deadline = self.timers.next_deadline()
+                self._cv.wait(
+                    timeout=0.1 if deadline is None
+                    else min(self.until(deadline), 0.1)
+                )
+
+    def idle(self) -> bool:
+        with self._cv:
+            return super().idle()

@@ -1,85 +1,28 @@
-"""The asyncio substrate: scenarios as task groups on one event loop.
+"""The asyncio substrate: scenarios as node tasks on one event loop.
 
-``AsyncioRuntime`` executes the same :class:`~repro.scenario.spec
-.ScenarioSpec` as every other substrate, but on the
-:class:`~repro.runtime.aio.AioCluster`: every voter and driver is a
-consumer task with an ``asyncio.Queue`` inbox, and timers are
-cancellable ``call_later`` handles that post back into the owning
-node's inbox — the single-loop replica design (see the flexible-BFT
-excerpt in SNIPPETS.md) that scales past the thread-per-node substrate
-at high node counts.
-
-Deployment is byte-for-byte the threaded substrate's: this class
-subclasses :class:`~repro.scenario.threaded.ThreadedRuntime` and swaps
-the cluster (``_make_cluster``) and the drive loop (``run``). Faults,
-batching flush hooks, and sharded multi-group specs therefore work
-identically — ``link`` faults stay rejected (no modelled network), and
-``crash`` faults map to ``drop_node`` on the replica's voter/driver
-pair.
-
-``run`` owns the event loop: ``asyncio.run`` binds the cluster to the
-fresh loop, spawns every consumer into an :class:`asyncio.TaskGroup`,
-and a monitor coroutine parks until quiescence (no unprocessed events,
-no armed timers, no in-flight out-calls) or the wall-clock budget
-elapses, then stops the cluster. Because the loop is single threaded,
-the quiescence check is exact — no handler can be mid-run while the
-monitor holds the loop.
+``AsyncioRuntime`` is the :class:`~repro.scenario.threaded
+.InProcessRuntime` over the :class:`~repro.runtime.aio.AioCluster`:
+every voter and driver is a consumer task with an ``asyncio.Queue``
+inbox — the single-loop replica design (see the flexible-BFT excerpt in
+SNIPPETS.md) that scales past the thread-per-node substrate at high
+node counts. Deployment, faults, batching flush hooks, sharded
+multi-group specs, the settled predicate and metrics are the shared
+in-process code; only the scheduler differs, and its ``run`` owns the
+event loop (``asyncio.run`` for the length of the scenario).
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
-
 from repro.runtime.aio import AioCluster
-from repro.scenario.threaded import ThreadedRuntime
+from repro.scenario.threaded import InProcessRuntime
 
 
-class AsyncioRuntime(ThreadedRuntime):
+class AsyncioRuntime(InProcessRuntime):
     """Executes scenarios as node tasks on one asyncio event loop."""
 
     name = "asyncio"
 
-    def __init__(self) -> None:
-        # No lock sanitizer here: the loop is single threaded, so there
-        # is nothing for assert-owner proxies to catch.
-        super().__init__(debug_locks=False)
-
+    # No lock sanitizer here: the loop is single threaded, so there is
+    # nothing for assert-owner proxies to catch.
     def _make_cluster(self) -> AioCluster:
         return AioCluster()
-
-    def run(self, until_s: float | None = None) -> None:
-        self._epoch = time.monotonic()
-        budget = self._spec.duration_s if until_s is None else until_s
-        asyncio.run(self._drive(budget))
-
-    async def _drive(self, budget: float) -> None:
-        cluster = self.cluster
-        cluster.bind_running_loop()
-        async with asyncio.TaskGroup() as task_group:
-            cluster.spawn(task_group)
-            try:
-                await self._monitor(budget)
-            finally:
-                # Reached quiescence, ran out of budget, or the monitor
-                # failed: either way every consumer must be told to exit
-                # or the task group would wait forever.
-                cluster.request_stop()
-
-    async def _monitor(self, budget: float) -> None:
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + budget
-        cluster = self.cluster
-        while loop.time() < deadline:
-            if not cluster.all_started():
-                # Warm-up: consumer tasks have not all run on_start yet.
-                await asyncio.sleep(0.01)
-                continue
-            if cluster.mailboxes_empty() and self._settled():
-                # One short look back: a timer callback scheduled at the
-                # exact boundary may land an event right after the check.
-                await asyncio.sleep(0.05)
-                if cluster.mailboxes_empty() and self._settled():
-                    return
-            else:
-                await asyncio.sleep(0.01)

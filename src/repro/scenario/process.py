@@ -50,7 +50,6 @@ numbers are current even after ``run`` returned early.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import os
 import queue
@@ -63,12 +62,12 @@ from multiprocessing.connection import Connection, wait as connection_wait
 from repro.common.encoding import canonical_encode, clear_wire_caches, decode_payload
 from repro.common.errors import ConfigurationError
 from repro.faults import require_supported_kinds
+from repro.runtime.host import MSG, START, TIMER, NodeHost
 from repro.scenario.runtime import (
     Runtime,
     ScenarioMetrics,
-    ServiceMetrics,
-    observer_index,
-    view_lag,
+    replica_snapshot,
+    service_metrics,
 )
 from repro.scenario.spec import ScenarioSpec
 from repro.sharding import build_router
@@ -118,65 +117,23 @@ def _split_net_frame(data: bytes) -> tuple[str, str, bytes]:
 # ---------------------------------------------------------------------------
 
 
-class _WorkerEnv:
-    """Per-node environment with the SimNodeEnv surface, pipe-backed."""
+class _WorkerHost(NodeHost):
+    """One worker process: a voter/driver pair on the process scheduler.
 
-    def __init__(self, host: "_WorkerHost", node_id) -> None:
-        self._host = host
-        self.node_id = node_id
-        self._key = str(node_id)
-
-    def now_us(self) -> int:
-        return int((time.monotonic() - self._host.epoch) * 1_000_000)
-
-    def now_ms(self) -> int:
-        return self.now_us() // 1000
-
-    def charge(self, cpu_us: int) -> None:
-        """No-op: on a real process, CPU time is consumed by running."""
-
-    def send(self, dst, msg, size_bytes: int = 256) -> None:
-        self._host.dispatch(self._key, str(dst), msg)
-
-    def local_deliver(self, dst, msg) -> None:
-        self._host.enqueue_local(self._key, str(dst), msg)
-
-    def set_timer(self, tag, delay_us: int) -> None:
-        self._host.set_timer(self._key, tag, delay_us)
-
-    def cancel_timer(self, tag) -> None:
-        self._host.cancel_timer(self._key, tag)
-
-    def timer_armed(self, tag) -> bool:
-        return (self._key, tag) in self._host.timer_entries
-
-
-class _WorkerHost:
-    """One worker process: a voter/driver pair plus its event loop."""
+    The mailbox is one ``deque`` of ``(src, dst, msg)`` for both nodes;
+    what blocks is ``conn.poll`` — until the next frame arrives or the
+    timer heap's next deadline, whichever is sooner.
+    """
 
     def __init__(self, conn: Connection) -> None:
+        super().__init__()
         self.conn = conn
-        self.epoch = time.monotonic()
-        self.nodes: dict[str, object] = {}
         self.local: deque[tuple[str, str, object]] = deque()
-        self.timer_heap: list[tuple[float, int, str, object, dict]] = []
-        self.timer_entries: dict[tuple[str, object], dict] = {}
-        self._timer_seq = 0
-        self.errors: list[str] = []
-        self.flush_nodes: dict[str, object] = {}
 
-    def add_node(self, node_id, node) -> _WorkerEnv:
-        key = str(node_id)
-        self.nodes[key] = node
-        if getattr(node, "wants_flush", False):
-            self.flush_nodes[key] = node
-        return _WorkerEnv(self, node_id)
-
-    # -- node-facing plumbing ------------------------------------------------
-
-    def dispatch(self, src: str, dst: str, msg) -> None:
+    def post(self, src: str, dst: str, msg) -> None:
         if dst in self.nodes:
             self.local.append((src, dst, msg))
+            self.unprocessed += 1
             return
         if not isinstance(msg, (WireEnvelope, BatchEnvelope)):
             raise ConfigurationError(
@@ -185,61 +142,15 @@ class _WorkerHost:
             )
         self.conn.send_bytes(_net_frame(src, dst, msg))
 
-    def enqueue_local(self, src: str, dst: str, msg) -> None:
-        self.local.append((src, dst, msg))
-
-    def set_timer(self, node_key: str, tag, delay_us: int) -> None:
-        self.cancel_timer(node_key, tag)
-        entry = {"cancelled": False}
-        self.timer_entries[(node_key, tag)] = entry
-        self._timer_seq += 1
-        heapq.heappush(
-            self.timer_heap,
-            (
-                time.monotonic() + delay_us / 1_000_000.0,
-                self._timer_seq,
-                node_key,
-                tag,
-                entry,
-            ),
-        )
-
-    def cancel_timer(self, node_key: str, tag) -> None:
-        entry = self.timer_entries.pop((node_key, tag), None)
-        if entry is not None:
-            entry["cancelled"] = True
-
-    # -- event loop ----------------------------------------------------------
-
     def _deliver_local(self) -> None:
-        # Tick batching: buffered channel output departs when the handler
-        # that produced it returns, mirroring the simulator's kernel tick.
-        flush_nodes = self.flush_nodes
-        while self.local:
-            src, dst, msg = self.local.popleft()
-            node = self.nodes.get(dst)
-            if node is None:
-                continue
-            try:
-                node.on_message(src, msg)
-                flusher = flush_nodes.get(dst)
-                if flusher is not None:
-                    flusher.on_flush()
-            except Exception as exc:  # a faulty node must not kill the loop
-                self.errors.append(repr(exc))
-        now = time.monotonic()
-        while self.timer_heap and self.timer_heap[0][0] <= now:
-            _, _, node_key, tag, entry = heapq.heappop(self.timer_heap)
-            if entry["cancelled"]:
-                continue
-            self.timer_entries.pop((node_key, tag), None)
-            try:
-                self.nodes[node_key].on_timer(tag)
-                flusher = flush_nodes.get(node_key)
-                if flusher is not None:
-                    flusher.on_flush()
-            except Exception as exc:
-                self.errors.append(repr(exc))
+        local = self.local
+        while local:
+            src, dst, msg = local.popleft()
+            if dst in self.nodes:
+                self.step(dst, MSG, src, msg)
+            self.unprocessed -= 1
+        for key, tag in self.due_timers():
+            self.step(key, TIMER, None, tag)
 
     def loop(self, stats) -> None:
         """Serve frames and timers until the parent says stop."""
@@ -247,12 +158,11 @@ class _WorkerHost:
             self._deliver_local()
             if self.local:
                 timeout = 0.0
-            elif self.timer_heap:
-                timeout = min(
-                    max(self.timer_heap[0][0] - time.monotonic(), 0.0), 0.05
-                )
             else:
-                timeout = 0.05
+                deadline = self.timers.next_deadline()
+                timeout = 0.05 if deadline is None else min(
+                    self.until(deadline), 0.05
+                )
             if not self.conn.poll(timeout):
                 continue
             # Drain every pending frame before handling, so inbound pipe
@@ -271,19 +181,15 @@ class _WorkerHost:
                     self.local.append(
                         (src, dst, envelope_from_wire(decode_payload(payload)))
                     )
+                    self.unprocessed += 1
                     continue
                 frame = decode_payload(data)
                 kind = frame[0]
                 if kind == "go":
-                    self.epoch = time.monotonic()
-                    for key, node in self.nodes.items():
-                        try:
-                            node.on_start()
-                            flusher = self.flush_nodes.get(key)
-                            if flusher is not None:
-                                flusher.on_flush()
-                        except Exception as exc:
-                            self.errors.append(repr(exc))
+                    self.restart_clock()
+                    for key in self.nodes:
+                        self.step(key, START, None, None)
+                        self.unprocessed -= 1
                 elif kind == "poll":
                     self.conn.send_bytes(_frame("stats", stats()))
                 elif kind == "stop":
@@ -370,25 +276,16 @@ def _worker_main(
     driver.attach(host.add_node(driver_name(service, index), driver))
 
     def stats() -> dict:
-        data = {
+        return {
             "pid": os.getpid(),
-            "in_flight": driver.in_flight_calls,
-            "timers_armed": len(host.timer_entries),
-            "completed_calls": driver.completed_calls,
-            "aborted_calls": driver.aborted_calls,
-            "delivered_requests": voter.delivered_requests,
-            "requests_served": adapters[0].requests_served if adapters else 0,
-            "first_issue_us": driver.first_issue_us or 0,
-            "last_completion_us": driver.last_completion_us,
-            "view_changes": voter.replica.view_changes_completed,
-            "view": voter.replica.view,
-            "reply_cache_size": voter.reply_cache_size,
+            "timers_armed": host.timers.armed_count(),
             "counters": METRICS.snapshot(),
-            "errors": list(host.errors),
+            "errors": [repr(exc) for exc in host.errors()],
+            **replica_snapshot(
+                voter, driver, adapters[0],
+                built.probe() if built.probe is not None else {},
+            ),
         }
-        if built.probe is not None:
-            data["app"] = built.probe()
-        return data
 
     conn.send_bytes(_frame("ready", service, index))
     try:
@@ -449,9 +346,9 @@ class ProcessRuntime(Runtime):
         require_supported_kinds(spec, ("link",), self.name)
         # Fail fast on anything a worker could not rebuild from the spec
         # document alone, with the real error — a worker dying during
-        # bootstrap would otherwise surface only as a ready-timeout 30
-        # seconds later. The build_app results are deliberately discarded
-        # (construction is the thorough parameter check).
+        # bootstrap would otherwise surface only as its exit code. The
+        # build_app results are deliberately discarded (construction is
+        # the thorough parameter check).
         from repro.scenario.apps import (
             BUILTIN_COST_MODELS,
             build_app,
@@ -506,6 +403,18 @@ class ProcessRuntime(Runtime):
                 with self._lock:
                     if self._ready == self._expected:
                         break
+                    pending = self._expected - self._ready
+                # A worker that exits before reporting ready died during
+                # bootstrap: say so now, not READY_TIMEOUT_S later.
+                dead = sorted(
+                    (key, self._procs[key].exitcode) for key in pending
+                    if self._procs[key].exitcode is not None
+                )
+                if dead:
+                    raise ConfigurationError(
+                        "workers died during bootstrap (worker, exit code): "
+                        f"{dead}"
+                    )
                 time.sleep(0.01)
             else:
                 missing = sorted(self._expected - self._ready)
@@ -744,50 +653,17 @@ class ProcessRuntime(Runtime):
         self._refresh_stats()
         with self._lock:
             stats = {key: dict(value) for key, value in self._stats.items()}
-        services: dict[str, ServiceMetrics] = {}
-        for decl in self._spec.all_services():
-            group = self._spec.group_of(decl.name) or (
-                self._router.group_for_service(decl.name)
-                if self._router is not None else None
+        # Crashed replicas are never spawned, so every reporting worker
+        # is a live replica.
+        services = {
+            decl.name: service_metrics(
+                self._spec,
+                self._router,
+                decl.name,
+                {i: data for (name, i), data in stats.items() if name == decl.name},
             )
-            # The same observer rule as every substrate (lowest live
-            # replica); fall back to any reporting replica if the
-            # observer's worker has no stats yet.
-            observer = observer_index(self._spec, decl.name)
-            data = stats.get((decl.name, observer))
-            if data is None:
-                indices = [i for (name, i) in stats if name == decl.name]
-                if not indices:
-                    services[decl.name] = ServiceMetrics(n=decl.n, group=group)
-                    continue
-                data = stats[(decl.name, min(indices))]
-            services[decl.name] = ServiceMetrics(
-                n=decl.n,
-                completed_calls=data.get("completed_calls", 0),
-                aborted_calls=data.get("aborted_calls", 0),
-                delivered_requests=data.get("delivered_requests", 0),
-                requests_served=data.get("requests_served", 0),
-                first_issue_us=data.get("first_issue_us", 0),
-                last_completion_us=data.get("last_completion_us", 0),
-                view_changes=max(
-                    (
-                        value.get("view_changes", 0)
-                        for (name, _i), value in stats.items()
-                        if name == decl.name
-                    ),
-                    default=0,
-                ),
-                # Crashed replicas are never spawned, so every reporting
-                # worker is a live replica.
-                view_lag=view_lag(
-                    value.get("view", 0)
-                    for (name, _i), value in stats.items()
-                    if name == decl.name
-                ),
-                reply_cache_size=data.get("reply_cache_size", 0),
-                app=dict(data.get("app") or {}),
-                group=group,
-            )
+            for decl in self._spec.all_services()
+        }
         # Counters sum across workers: each zeroes METRICS at bootstrap,
         # so the sum is exactly this run's activity.
         counters: dict[str, int] = {}

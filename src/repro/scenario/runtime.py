@@ -82,6 +82,76 @@ class ServiceMetrics:
     group: str | None = None
 
 
+def replica_snapshot(voter, driver, adapter, app: dict) -> dict:
+    """One replica's observable state, as plain data.
+
+    The unit every substrate feeds :func:`service_metrics`: read off the
+    live voter/driver/adapter objects in-process (:func:`live_snapshots`),
+    or carried in a process worker's stats frame (which adds its own
+    transport fields around these). ``app`` is the application probe's
+    output as seen from this replica's process.
+    """
+    return {
+        "in_flight": driver.in_flight_calls,
+        "completed_calls": driver.completed_calls,
+        "aborted_calls": driver.aborted_calls,
+        "delivered_requests": voter.delivered_requests,
+        "requests_served": adapter.requests_served,
+        "first_issue_us": driver.first_issue_us or 0,
+        "last_completion_us": driver.last_completion_us,
+        "view_changes": voter.replica.view_changes_completed,
+        "view": voter.replica.view,
+        "reply_cache_size": voter.reply_cache_size,
+        "app": app,
+    }
+
+
+def live_snapshots(spec: ScenarioSpec, name: str, group, adapters, probe) -> dict:
+    """Snapshots of an in-process ``ServiceGroup``'s live replicas."""
+    app = probe() if probe is not None else {}
+    return {
+        i: replica_snapshot(group.voters[i], group.drivers[i], adapters[i], app)
+        for i in live_indices(spec, name)
+    }
+
+
+def service_metrics(
+    spec: ScenarioSpec, router, name: str, snapshots: dict[int, dict]
+) -> ServiceMetrics:
+    """The one place a service's metrics are assembled, on every substrate.
+
+    ``snapshots`` maps replica index to its :func:`replica_snapshot`,
+    *live replicas only* (a crashed replica is left out in-process and
+    is never spawned on the process substrate). The observer's snapshot
+    supplies the per-replica fields — falling back to the lowest
+    reporting replica if the observer has not reported yet — and the
+    view fields aggregate over all of them.
+    """
+    group = spec.group_of(name) or (
+        router.group_for_service(name) if router is not None else None
+    )
+    n = spec.service(name).n
+    if not snapshots:
+        return ServiceMetrics(n=n, group=group)
+    data = snapshots.get(observer_index(spec, name))
+    if data is None:
+        data = snapshots[min(snapshots)]
+    return ServiceMetrics(
+        n=n,
+        completed_calls=data["completed_calls"],
+        aborted_calls=data["aborted_calls"],
+        delivered_requests=data["delivered_requests"],
+        requests_served=data["requests_served"],
+        first_issue_us=data["first_issue_us"],
+        last_completion_us=data["last_completion_us"],
+        view_changes=max(s["view_changes"] for s in snapshots.values()),
+        view_lag=view_lag(s["view"] for s in snapshots.values()),
+        reply_cache_size=data["reply_cache_size"],
+        app=dict(data["app"]),
+        group=group,
+    )
+
+
 @dataclass
 class ScenarioMetrics:
     """One scenario run's observation across all services."""

@@ -1,7 +1,6 @@
 """The simulator substrate: ``SimRuntime`` and its deployment machinery.
 
-This module owns the wiring that used to live in ``repro.ws.deployment``:
-a :class:`Deployment` binds the discrete-event kernel, the key store, the
+A :class:`Deployment` binds the discrete-event kernel, the key store, the
 topology (the ``replicas.xml`` model), and the registry together, and
 deploys services as :class:`~repro.perpetual.group.ServiceGroup`\\ s of
 co-located voter/driver pairs. :class:`SimRuntime` executes a declarative
@@ -32,10 +31,8 @@ from repro.scenario.apps import build_app, scenario_cost_model
 from repro.scenario.runtime import (
     Runtime,
     ScenarioMetrics,
-    ServiceMetrics,
-    live_indices,
-    observer_index,
-    view_lag,
+    live_snapshots,
+    service_metrics,
 )
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.kernel import Simulator, US_PER_S
@@ -150,7 +147,7 @@ class Deployment:
         self._ensure_declared(name, n)
         adapters: list[WsAdapter] = []
         group = deploy_service(
-            sim=self.sim,
+            substrate=self.sim,
             topology=self.topology,
             keys=self.keys,
             service=name,
@@ -182,7 +179,7 @@ class Deployment:
         """Deploy an executor-level application (no SOAP layer)."""
         self._ensure_declared(name, n)
         group = deploy_service(
-            sim=self.sim,
+            substrate=self.sim,
             topology=self.topology,
             keys=self.keys,
             service=name,
@@ -355,34 +352,18 @@ class SimRuntime(Runtime):
             return merge_group_metrics(
                 self._spec.name, self.name, self._group_parts
             )
-        services: dict[str, ServiceMetrics] = {}
-        for name, deployed in self.deployment.services.items():
-            observer = observer_index(self._spec, name)
-            driver = deployed.group.drivers[observer]
-            voter = deployed.group.voters[observer]
-            probe = self._probes.get(name)
-            services[name] = ServiceMetrics(
-                n=deployed.n,
-                completed_calls=driver.completed_calls,
-                aborted_calls=driver.aborted_calls,
-                delivered_requests=voter.delivered_requests,
-                requests_served=(
-                    deployed.adapters[observer].requests_served
-                    if deployed.adapters else voter.delivered_requests
+        services = {
+            name: service_metrics(
+                self._spec,
+                self._router,
+                name,
+                live_snapshots(
+                    self._spec, name, deployed.group, deployed.adapters,
+                    self._probes[name],
                 ),
-                first_issue_us=driver.first_issue_us or 0,
-                last_completion_us=driver.last_completion_us,
-                view_changes=max(
-                    v.replica.view_changes_completed
-                    for v in deployed.group.voters
-                ),
-                view_lag=view_lag(
-                    deployed.group.voters[i].replica.view
-                    for i in live_indices(self._spec, name)
-                ),
-                reply_cache_size=voter.reply_cache_size,
-                app=probe() if probe is not None else {},
             )
+            for name, deployed in self.deployment.services.items()
+        }
         snapshot = METRICS.snapshot()
         return ScenarioMetrics(
             scenario=self._spec.name,

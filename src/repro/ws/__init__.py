@@ -8,16 +8,16 @@ This package is what a downstream web-service developer imports:
 - :mod:`repro.ws.adapter`    -- bridges WS-level applications onto the
   Perpetual executor model (WS-Addressing correlation, SOAP marshaling
   through the engine pipes);
-- :mod:`repro.ws.deployment` -- compatibility shim; deployment moved to
-  the declarative scenario API in :mod:`repro.scenario` (one spec, any
-  substrate: sim / threaded / process);
 - :mod:`repro.ws.descriptor` -- parses an actual ``replicas.xml`` document;
 - :mod:`repro.ws.registry`   -- a static UDDI stand-in for endpoint
   resolution (the paper's future-work discovery direction).
 
 Contract: handlers are deterministic (``Utils`` supplies agreed time
 and randomness) and all messaging rides the channel layer — the
-encode-once/digest-once path of ``docs/architecture.md``.
+encode-once/digest-once path of ``docs/architecture.md``. Deployment
+is not here: build a :class:`repro.scenario.ScenarioSpec` (one spec, any
+substrate), or use the imperative simulator facade
+:class:`repro.scenario.sim.Deployment`, re-exported below.
 """
 
 from repro.ws.api import MessageContext, MessageHandler, Options, Utils
@@ -29,9 +29,9 @@ def __getattr__(name: str):
     # submodules); resolving it lazily keeps this package importable
     # from inside that module without a cycle.
     if name in ("Deployment", "ServiceDeployment"):
-        from repro.ws import deployment
+        from repro.scenario import sim
 
-        return getattr(deployment, name)
+        return getattr(sim, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

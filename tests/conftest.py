@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.keys import KeyStore
+from repro.scenario.sim import Deployment
 from repro.sim.kernel import Simulator
 from repro.sim.network import LanModel
-from repro.ws.deployment import Deployment
 
 
 @pytest.fixture

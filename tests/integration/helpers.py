@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from repro.scenario.sim import Deployment
 from repro.ws.api import MessageContext, MessageHandler, Options
-from repro.ws.deployment import Deployment
 
 
 def counter_service():

@@ -5,8 +5,8 @@ serving new requests while earlier ones are still awaiting its own
 out-calls. Both sides stay consistent across replicas.
 """
 
+from repro.scenario.sim import Deployment
 from repro.ws.api import MessageContext, MessageHandler
-from repro.ws.deployment import Deployment
 from tests.integration.helpers import counter_service
 
 

@@ -6,8 +6,8 @@ responder deterministically, so any correct target voter eventually
 serves the bundle — liveness without weakening the ft+1 voucher check.
 """
 
+from repro.scenario.sim import Deployment
 from repro.sim.network import FaultyLink, LanModel
-from repro.ws.deployment import Deployment
 from tests.integration.helpers import counter_service, scripted_caller
 
 

@@ -6,8 +6,8 @@ counts, timings, and application outcomes. This is what makes the
 benchmark figures stable and the fault tests meaningful.
 """
 
+from repro.scenario.sim import Deployment
 from repro.ws.api import MessageContext, MessageHandler, Utils
-from repro.ws.deployment import Deployment
 
 
 def build_and_run(name: str):

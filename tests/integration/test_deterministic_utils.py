@@ -8,8 +8,8 @@ the primary's proposal.
 import datetime
 
 from repro.perpetual.voter import EPOCH_MS
+from repro.scenario.sim import Deployment
 from repro.ws.api import MessageContext, MessageHandler, Utils
-from repro.ws.deployment import Deployment
 
 
 def test_current_time_consistent_across_replicas():

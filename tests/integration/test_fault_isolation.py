@@ -19,7 +19,7 @@ from repro.perpetual.voter import voter_name
 from repro.sim.network import LanModel, PartitionModel
 from repro.transport.wire import WireEnvelope
 from repro.common.encoding import canonical_encode
-from repro.ws.deployment import Deployment
+from repro.scenario.sim import Deployment
 from tests.integration.helpers import (
     build_two_tier,
     counter_service,

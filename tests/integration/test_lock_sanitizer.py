@@ -20,9 +20,10 @@ def test_chaos_preset_completes_under_debug_locks():
     try:
         rt.deploy(spec)
         # The proxies are actually installed, not silently skipped.
-        assert hasattr(rt.cluster._workers, "_guard")
+        assert hasattr(rt.cluster.nodes, "_guard")
         assert hasattr(rt.cluster.dropped, "_guard")
         assert hasattr(rt.cluster.timers._entries, "_guard")
+        assert all(hasattr(e, "_guard") for e in rt.cluster._errors.values())
         rt.run()
         metrics = rt.metrics()
         errors = rt.errors()

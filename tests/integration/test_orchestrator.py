@@ -8,7 +8,7 @@ deterministically.
 
 from repro.apps.orchestrator import inventory_app, orchestrator_app, shipping_app
 from repro.apps.payment import bank_app
-from repro.ws.deployment import Deployment
+from repro.scenario.sim import Deployment
 
 ORDERS = [
     {"order_id": 1, "item": "widget", "qty": 2, "card": "4111",

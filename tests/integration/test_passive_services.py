@@ -9,7 +9,7 @@ without modification" claim.
 from repro.perpetual.executor import run_passive
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.addressing import WsAddressing
-from repro.ws.deployment import Deployment
+from repro.scenario.sim import Deployment
 from tests.integration.helpers import scripted_caller
 
 

@@ -14,10 +14,12 @@ not simple parity:
 - the process substrate places one OS process per voter/driver pair
   across all groups, and its shutdown joins the router/egress threads
   even when a worker fails to spawn mid-deploy (no orphaned threads or
-  children).
+  children) — and a worker that *dies* during bootstrap fails the deploy
+  at once, by name and exit code, through the same teardown.
 """
 
 import multiprocessing
+import os
 import threading
 import time
 
@@ -123,6 +125,24 @@ class TestCrossGroupCalls:
             run_scenario(spec, runtime="sim")
 
 
+def assert_no_orphans(baseline_threads):
+    """Router/egress threads joined and every spawned worker reaped."""
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        children = [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-")
+        ]
+        if threading.active_count() <= baseline_threads and not children:
+            break
+        time.sleep(0.05)
+    assert threading.active_count() <= baseline_threads
+    assert [
+        p.name for p in multiprocessing.active_children()
+        if p.name.startswith("repro-")
+    ] == []
+
+
 class TestPartialStartupTeardown:
     def test_failed_spawn_leaves_no_orphan_threads_or_children(
         self, monkeypatch
@@ -144,17 +164,27 @@ class TestPartialStartupTeardown:
             runtime.deploy(spec)
         # Deploy's failure path runs shutdown(): router + egress threads
         # joined, the four already-spawned workers reaped.
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            children = [
-                p for p in multiprocessing.active_children()
-                if p.name.startswith("repro-")
-            ]
-            if threading.active_count() <= baseline_threads and not children:
-                break
-            time.sleep(0.05)
-        assert threading.active_count() <= baseline_threads
-        assert [
-            p.name for p in multiprocessing.active_children()
-            if p.name.startswith("repro-")
-        ] == []
+        assert_no_orphans(baseline_threads)
+
+    def test_worker_dying_in_bootstrap_fails_deploy_at_once(self, monkeypatch):
+        from repro.scenario import process
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched worker entry point reaches children by fork")
+        original = process._worker_main
+
+        def dying(spec_json, service, index, conn, address=None):
+            if (service, index) == ("g0-target", 2):
+                os._exit(3)
+            original(spec_json, service, index, conn, address)
+
+        monkeypatch.setattr(process, "_worker_main", dying)
+        baseline_threads = threading.active_count()
+        runtime = ProcessRuntime(poll_interval_s=0.05)
+        started = time.monotonic()
+        with pytest.raises(ConfigurationError) as raised:
+            runtime.deploy(two_group_echo("sharded-dead-worker"))
+        # Not READY_TIMEOUT_S (30 s) later: the exit code is the signal.
+        assert time.monotonic() - started < 5
+        assert "('g0-target', 2), 3" in str(raised.value)
+        assert_no_orphans(baseline_threads)

@@ -10,9 +10,8 @@ import time
 import pytest
 
 from repro.crypto.keys import KeyStore
-from repro.perpetual.group import Topology
+from repro.perpetual.group import Topology, deploy_service
 from repro.runtime.cluster import ThreadedCluster
-from repro.runtime.deploy import deploy_threaded_service
 from repro.ws.adapter import WsAdapter
 from repro.ws.api import MessageContext, MessageHandler
 
@@ -62,10 +61,10 @@ def test_two_tier_on_threads(cluster):
                 MessageContext(to="target", body={"i": i})
             )
 
-    deploy_threaded_service(
+    deploy_service(
         cluster, topology, keys, "target", make_ws_factory("target", counter_app)
     )
-    callers = deploy_threaded_service(
+    callers = deploy_service(
         cluster, topology, keys, "caller", make_ws_factory("caller", caller_app)
     )
     cluster.start()
@@ -87,10 +86,10 @@ def test_crashed_backup_tolerated_on_threads(cluster):
                 MessageContext(to="target", body={"i": i})
             )
 
-    deploy_threaded_service(
+    deploy_service(
         cluster, topology, keys, "target", make_ws_factory("target", counter_app)
     )
-    callers = deploy_threaded_service(
+    callers = deploy_service(
         cluster, topology, keys, "caller", make_ws_factory("caller", caller_app)
     )
     # Crash one target replica (within f=1) before any traffic.

@@ -8,8 +8,8 @@ consistency at every tier.
 import pytest
 
 from repro.apps.payment import bank_app, pge_app
+from repro.scenario.sim import Deployment
 from repro.ws.api import MessageContext, MessageHandler
-from repro.ws.deployment import Deployment
 
 
 def build_chain(n_store=1, n_pge=4, n_bank=4, synchronous=False, payments=4):

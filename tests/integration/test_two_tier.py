@@ -41,7 +41,7 @@ def test_target_state_consistent_across_replicas():
 
 def test_exactly_once_despite_retransmissions():
     # Retransmit timers fire aggressively; execution must stay exactly-once.
-    from repro.ws.deployment import Deployment
+    from repro.scenario.sim import Deployment
     from tests.integration.helpers import counter_service, scripted_caller
 
     deployment = Deployment(name="rtx")

@@ -1,10 +1,16 @@
-"""Unit tests for the Deployment facade."""
+"""Unit tests for the simulator's imperative Deployment facade.
+
+``Deployment`` lives in :mod:`repro.scenario.sim`; this file stays under
+``tests/unit/ws`` because it checks the WS-level surface of the facade
+(``replicas.xml`` declaration, registry resolution, adapter-per-replica
+deployment), and its test ids are part of the recorded suite floor.
+"""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.scenario.sim import Deployment
 from repro.ws.api import MessageContext, MessageHandler
-from repro.ws.deployment import Deployment
 
 
 def idle_app():

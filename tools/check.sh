@@ -1,6 +1,7 @@
 #!/bin/sh
 # Pre-merge gate: static analysis clean, docs in sync, tier-1 passes, then a
-# 4-second `failover` benchmark run whose output checks must pass.
+# 4-second smoke run of every `bench` workload whose output checks must pass
+# (a broken import or a hung worker loop shows here, not in the pipeline).
 # Run from the repo root:  sh tools/check.sh
 # Fast mode (analysis + docs + unit tests only, skips integration):
 #   sh tools/check.sh --fast
@@ -28,8 +29,10 @@ if [ "$FAST" = 1 ]; then
 else
     echo "== tier-1 tests (soak + net excluded) =="
     python -m pytest -x -q
-    echo "== bench failover smoke (primary restart: output checks must pass) =="
-    python3 -m bench --workload failover --seconds 4 --trace 0
+    for w in echo_sync echo_window tpcw_chain payload_proc failover; do
+        echo "== bench $w smoke (output checks must pass) =="
+        python3 -m bench --workload "$w" --seconds 4 --trace 0
+    done
 fi
 
 echo "== all gates passed =="
