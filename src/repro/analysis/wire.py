@@ -33,6 +33,14 @@ CODEC_MODULES = (
     "analysis/",
 )
 
+#: Modules allowed to call the binary envelope codec: the transport layer
+#: that owns it and the one substrate boundary that frames a hop with it.
+HOP_CODEC_MODULES = (
+    "transport/",
+    "scenario/process.py",
+    "analysis/",
+)
+
 #: Modules allowed to call the digest helpers directly: the crypto
 #: layer and the wire layer's own memoized digest properties.
 DIGEST_MODULES = (
@@ -59,6 +67,8 @@ _CODEC_NAMES = frozenset(
         "decode_payload",
     )
 )
+
+_HOP_CODEC_NAMES = frozenset(("envelope_to_bytes", "envelope_from_bytes"))
 
 _DIGEST_NAMES = frozenset(("digest", "digest_hex"))
 
@@ -94,21 +104,41 @@ class DirectCodecRule(Rule):
         "Every encode outside ChannelAdapter/WireBlob is a second walk "
         "over the same message — the encode-once contract the METRICS "
         "counters pin at runtime. Send objects (or WireBlobs) through "
-        "the channel; inject codecs via the encode=/decode= parameters."
+        "the channel; inject codecs via the encode=/decode= parameters. "
+        "The binary envelope form (envelope_to_bytes/envelope_from_bytes) "
+        "is narrower still: transport/ and scenario/process.py only."
+    )
+
+    #: ``(callee names, modules that may call them, what to do instead)``.
+    _SEAMS = (
+        (
+            _CODEC_NAMES,
+            CODEC_MODULES,
+            "outside the wire layer — route through ChannelAdapter/WireBlob "
+            "(wire_blob) or suppress with a justification",
+        ),
+        (
+            _HOP_CODEC_NAMES,
+            HOP_CODEC_MODULES,
+            "outside transport/ and the process substrate boundary — an "
+            "envelope takes its binary form only where a transport hop "
+            "frames it",
+        ),
     )
 
     def applies_to(self, module: str) -> bool:
-        return not _allowed(module, CODEC_MODULES)
+        return any(
+            not _allowed(module, allowlist) for _, allowlist, _ in self._SEAMS
+        )
 
     def check(self, src: SourceFile) -> Iterator[Violation]:
-        for node in _named_calls(src, _CODEC_NAMES):
-            yield src.violation(
-                self,
-                node,
-                f"direct {node.func.id}() call outside the wire layer — "
-                "route through ChannelAdapter/WireBlob (wire_blob) or "
-                "suppress with a justification",
-            )
+        for names, allowlist, advice in self._SEAMS:
+            if _allowed(src.module, allowlist):
+                continue
+            for node in _named_calls(src, names):
+                yield src.violation(
+                    self, node, f"direct {node.func.id}() call {advice}"
+                )
 
 
 @register
@@ -155,9 +185,9 @@ class EnvelopeConstructionRule(Rule):
     title = "no envelope construction outside the signing path"
     rationale = (
         "An envelope built by hand bypasses ChannelAdapter.multicast_to "
-        "— the only place the authenticator, the blob cache, and the "
-        "cost model meet. Envelopes come from the channel (sending) or "
-        "envelope_from_wire (decoding); anything else forges the fused "
+        "— the only place the authenticator, the encode-once blob, and "
+        "the cost model meet. Envelopes come from the channel (sending) "
+        "or the wire codec (decoding); anything else forges the fused "
         "codec's invariants. BatchEnvelope is held to the same rule: "
         "batches exist only on the sanctioned ChannelAdapter.flush / "
         "open_batch path, where the single batch MAC is computed and "
@@ -179,5 +209,5 @@ class EnvelopeConstructionRule(Rule):
                     node,
                     f"{node.func.id} constructed outside the signing path "
                     "— send through ChannelAdapter or decode via "
-                    "envelope_from_wire",
+                    "the wire codec",
                 )

@@ -5,7 +5,7 @@ subsystem (crypto, transport, CLBFT, Perpetual, the SOAP engine, and the
 simulation substrate).
 
 Contract: :mod:`repro.common.encoding` owns the canonical codec and the
-encode-once blob cache (``docs/architecture.md``); everything else here
+encode-once blob (``docs/architecture.md``); everything else here
 is pure, deterministic, and substrate-free.
 """
 

@@ -19,9 +19,8 @@ message crosses it at least once), so it is built for speed:
   ``json.dumps`` still bounds total nesting at the interpreter limit);
 - :class:`WireBlob` carries ``(bytes, digest)`` for a message that was
   encoded exactly once, so multicast/sign/digest consumers share one
-  encoding pass; :func:`wire_blob` memoizes blobs by object identity so
-  re-sends (retransmissions, relays, stored replies) skip the encoder
-  entirely.
+  encoding pass; a sender that keeps a message for re-sending keeps its
+  blob (stored replies do), so nothing looks blobs up by identity.
 """
 
 from __future__ import annotations
@@ -218,19 +217,11 @@ class WireBlob:
     agreement state — shares one encoding pass and one digest pass.
     """
 
-    __slots__ = ("obj", "data", "encoder", "_digest")
+    __slots__ = ("obj", "data", "_digest")
 
-    def __init__(
-        self,
-        obj: Any,
-        data: bytes | None = None,
-        encoder: Callable[[Any], bytes] | None = None,
-    ) -> None:
+    def __init__(self, obj: Any, data: bytes | None = None) -> None:
         self.obj = obj
         self.data = canonical_encode(obj) if data is None else data
-        #: The codec that produced ``data`` (None = canonical_encode);
-        #: the blob cache refuses to serve a blob to a different codec.
-        self.encoder = encoder
         self._digest: bytes | None = None
 
     @property
@@ -251,55 +242,26 @@ class WireBlob:
         return f"WireBlob({len(self.data)} bytes)"
 
 
-_BLOB_CACHE_LIMIT = 2048
-# Identity-keyed, LRU-evicted. Entries hold a strong reference to the
-# source object, so a live entry's id cannot be recycled out from under
-# it; the ``blob.obj is obj`` check is defence in depth.
-_blob_cache: "OrderedDict[int, WireBlob]" = OrderedDict()
-
-
 def wire_blob(obj: Any, encode: Callable[[Any], bytes] | None = None) -> WireBlob:
-    """The encode-once blob for ``obj``, memoized by object identity.
+    """``obj`` as an encode-once blob; a :class:`WireBlob` passes through.
 
-    Repeated calls with the same (still-referenced) object — a stored
-    reply re-forwarded on retry, a retransmitted request, a relay of a
-    received payload — reuse the cached bytes and digest instead of
-    re-running the encoder. ``encode`` overrides the canonical encoder
-    (the channel passes its injected wire codec); a cached blob is only
-    served back to the codec that produced it, so the same object sent
-    through differently-configured channels never aliases bytes.
+    ``encode`` overrides the canonical encoder (the channel passes its
+    injected wire codec).
     """
     if type(obj) is WireBlob:
         return obj
-    key = id(obj)
-    cache = _blob_cache
-    blob = cache.get(key)
-    if blob is not None and blob.obj is obj and blob.encoder is encode:
-        METRICS.encode_cache_hits += 1
-        cache.move_to_end(key)
-        return blob
     if encode is None:
-        blob = WireBlob(obj)
-    else:
-        blob = WireBlob(obj, encode(obj), encoder=encode)
-    cache[key] = blob
-    if len(cache) > _BLOB_CACHE_LIMIT:
-        cache.popitem(last=False)
-    return blob
+        return WireBlob(obj)
+    return WireBlob(obj, encode(obj))
 
 
 # Every IdentityMemo registers here so one call can clear all wire-layer
-# caches (blobs + derived-digest memos) between simulations or tests.
+# caches (the decode and derived-digest memos) between simulations or tests.
 _MEMO_REGISTRY: list["IdentityMemo"] = []
 
 
-def clear_blob_cache() -> None:
-    """Drop all memoized blobs (test isolation hook)."""
-    _blob_cache.clear()
-
-
 def clear_wire_caches() -> None:
-    """Drop the blob cache and every registered identity memo.
+    """Drop every registered identity memo.
 
     Finished simulations otherwise pin up to one cache-limit of message
     objects per memo; call between runs when memory or test isolation
@@ -316,7 +278,6 @@ def clear_wire_caches() -> None:
     instead of monkeypatching bootstrap internals.
     """
     METRICS.wire_cache_clears += 1
-    _blob_cache.clear()
     for memo in _MEMO_REGISTRY:
         memo.clear()
 

@@ -14,19 +14,35 @@ Wiring:
   never block) and an *egress* writer that owns all pipe writes (so a
   slow worker can stall only the egress queue, never the router — the
   classic pipe-buffer deadlock cannot form);
-- protocol frames are ``b"net\\0" + src + b"\\0" + dst + b"\\0" +
-  <canonical envelope bytes>`` — the router reads only the NUL-separated
-  header and forwards the payload opaquely, so routing cost is O(header)
-  rather than a full decode per hop; control frames (``ready`` / ``go``
-  / ``poll`` / ``stats`` / ``stop`` / ``bye``) are small canonical-codec
-  tuples;
+- a protocol frame forwards the sender's bytes: a NUL-separated routing
+  header, then the envelope in the binary form of
+  :func:`repro.transport.wire.envelope_to_bytes` — payload and MAC tags
+  raw, nothing re-serialised on either hop::
+
+      b"net" 00 | src (UTF-8) 00 | dst (UTF-8) 00 | envelope
+      envelope = b"e" | u32 len | payload | auth       (batches: b"b" ...;
+                 the full grammar is in ``transport/wire.py``)
+
+  The router reads only the header (two NUL searches) and forwards the
+  whole frame opaquely, so routing cost is O(header); the receiving
+  worker parses the envelope strictly and verifies its own MAC entry
+  over the payload digest as on every substrate. Control frames
+  (``ready`` / ``go`` / ``poll`` / ``stats`` / ``stop`` / ``bye``) are
+  small canonical-codec tuples;
+- a frame that does not parse (short header, unknown kind byte, a
+  length overrunning the frame, trailing bytes, an undecodable name) is
+  dropped and recorded — the worker in the ``errors`` list of its stats
+  frames, the router against the sending worker — so
+  :meth:`ProcessRuntime.worker_errors` names it while the worker loop
+  and the router keep serving: one Byzantine peer cannot crash a
+  correct replica;
 - each worker bootstrap zeroes METRICS and then calls
   :func:`repro.common.encoding.clear_wire_caches` before touching any
-  frame: the decode memos and blob caches are keyed on object identity
-  and must never cross a process boundary (under the default ``fork``
-  start method the parent's caches arrive in the child's memory
-  otherwise). The clear bumps the ``wire_cache_clears`` counter, so the
-  summed worker stats prove every start path ran the hook;
+  frame: the decode memos are keyed on object identity and must never
+  cross a process boundary (under the default ``fork`` start method the
+  parent's caches arrive in the child's memory otherwise). The clear
+  bumps the ``wire_cache_clears`` counter, so the summed worker stats
+  prove every start path ran the hook;
 - the ``transport`` knob selects how workers rendezvous with the
   parent: ``"pipe"`` (the default — one duplex ``multiprocessing`` pipe
   per worker) or ``"tcp"``, where the parent listens on an ephemeral
@@ -60,7 +76,7 @@ from collections import deque
 from multiprocessing.connection import Connection, wait as connection_wait
 
 from repro.common.encoding import canonical_encode, clear_wire_caches, decode_payload
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ProtocolError
 from repro.faults import require_supported_kinds
 from repro.runtime.host import MSG, START, TIMER, NodeHost
 from repro.scenario.runtime import (
@@ -75,8 +91,8 @@ from repro.transport.socket_frame import FrameError, SocketConnection
 from repro.transport.wire import (
     BatchEnvelope,
     WireEnvelope,
-    envelope_from_wire,
-    envelope_to_wire,
+    envelope_from_bytes,
+    envelope_to_bytes,
 )
 
 #: How long deploy() waits for every worker's ready frame.
@@ -94,22 +110,43 @@ def _frame(*parts) -> bytes:
 
 _NET = b"net\x00"
 
+#: Error-list key for inbound frames that did not parse: no node owns them.
+_BAD_FRAME = "<frame>"
+
 
 def _net_frame(src: str, dst: str, envelope) -> bytes:
-    """A protocol frame: routing header + opaque canonical envelope."""
+    """A protocol frame: routing header + the envelope's binary form."""
     return b"".join(
         (
             _NET,
             src.encode("utf-8"), b"\x00",
             dst.encode("utf-8"), b"\x00",
-            canonical_encode(envelope_to_wire(envelope)),
+            envelope_to_bytes(envelope),
         )
     )
 
 
-def _split_net_frame(data: bytes) -> tuple[str, str, bytes]:
-    _, src, dst, payload = data.split(b"\x00", 3)
-    return src.decode("utf-8"), dst.decode("utf-8"), payload
+def _net_header(data: bytes) -> tuple[str, str, int]:
+    """``(src, dst, offset of the envelope)`` of a protocol frame.
+
+    Two NUL searches, never a look at the body. The frame comes from
+    another process, so a short header or an undecodable name raises
+    :class:`ProtocolError` instead of whatever the unpacking would.
+    """
+    src_end = data.find(b"\x00", len(_NET))
+    dst_end = data.find(b"\x00", src_end + 1)
+    if src_end < 0 or dst_end < 0:
+        raise ProtocolError(
+            f"protocol frame of {len(data)} bytes has a short header"
+        )
+    try:
+        src = data[len(_NET):src_end].decode("utf-8")
+        dst = data[src_end + 1:dst_end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(
+            f"undecodable principal in frame header: {exc}"
+        ) from exc
+    return src, dst, dst_end + 1
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +214,15 @@ class _WorkerHost(NodeHost):
                 return
             for data in frames:
                 if data.startswith(_NET):
-                    src, dst, payload = _split_net_frame(data)
-                    self.local.append(
-                        (src, dst, envelope_from_wire(decode_payload(payload)))
-                    )
+                    # The bytes are another principal's: a frame that
+                    # does not parse is dropped and reported, never raised.
+                    try:
+                        src, dst, offset = _net_header(data)
+                        envelope, _ = envelope_from_bytes(data, offset)
+                    except ProtocolError as exc:
+                        self._errors.setdefault(_BAD_FRAME, []).append(exc)
+                        continue
+                    self.local.append((src, dst, envelope))
                     self.unprocessed += 1
                     continue
                 frame = decode_payload(data)
@@ -213,11 +255,11 @@ def _worker_main(
     speaks the exact pipe protocol. Bootstrap order matters: zero the
     fork-inherited METRICS first, then run :func:`clear_wire_caches` —
     the documented process-start hook — before touching any frame.
-    Identity-keyed decode memos and blob caches inherited over ``fork``
-    reference the parent's object graph and must never serve lookups in
-    the child; clearing after the reset lets the hook's
-    ``wire_cache_clears`` bump survive into this worker's stats frames,
-    which is how tests pin the hook onto every start path.
+    Identity-keyed decode memos inherited over ``fork`` reference the
+    parent's object graph and must never serve lookups in the child;
+    clearing after the reset lets the hook's ``wire_cache_clears`` bump
+    survive into this worker's stats frames, which is how tests pin the
+    hook onto every start path.
     """
     from repro.common.metrics import METRICS
 
@@ -328,6 +370,8 @@ class ProcessRuntime(Runtime):
         self._accept_thread: threading.Thread | None = None
         self._stats: dict[tuple[str, int], dict] = {}
         self._stats_seq: dict[tuple[str, int], int] = {}
+        #: Frames the router could not parse, by the worker that sent them.
+        self._frame_errors: dict[tuple[str, int], list[str]] = {}
         self._byes: set[tuple[str, int]] = set()
         self._ready: set[tuple[str, int]] = set()
         self._lock = threading.Lock()
@@ -534,31 +578,43 @@ class ProcessRuntime(Runtime):
                         with self._lock:
                             self._alive.pop(conn, None)
                         break
-                    if data.startswith(_NET):
-                        # O(header) routing: the envelope bytes stay opaque.
-                        _, dst, _ = _split_net_frame(data)
-                        owner = self._owner(dst)
-                        if owner in self._conns and owner not in self._byes:
-                            self._egress.put((owner, data))
-                    else:
-                        frame = decode_payload(data)
-                        kind = frame[0]
-                        if kind == "stats":
-                            with self._lock:
-                                self._stats[key] = frame[1]
-                                self._stats_seq[key] = (
-                                    self._stats_seq.get(key, 0) + 1
-                                )
-                        elif kind == "ready":
-                            with self._lock:
-                                self._ready.add((frame[1], frame[2]))
-                        elif kind == "bye":
-                            with self._lock:
-                                self._byes.add(key)
-                                self._alive.pop(conn, None)
+                    try:
+                        if self._on_frame(key, conn, data):
                             break
+                    except ProtocolError as exc:
+                        # A worker's malformed frame is dropped and held
+                        # against it; the router serves everyone else.
+                        with self._lock:
+                            self._frame_errors.setdefault(key, []).append(
+                                repr(exc)
+                            )
                     if not conn.poll(0):
                         break
+
+    def _on_frame(self, key, conn, data: bytes) -> bool:
+        """Forward or record one worker frame; True once it said bye."""
+        if data.startswith(_NET):
+            # O(header) routing: the envelope bytes stay opaque.
+            _, dst, _ = _net_header(data)
+            owner = self._owner(dst)
+            if owner in self._conns and owner not in self._byes:
+                self._egress.put((owner, data))
+            return False
+        frame = decode_payload(data)
+        kind = frame[0]
+        if kind == "stats":
+            with self._lock:
+                self._stats[key] = frame[1]
+                self._stats_seq[key] = self._stats_seq.get(key, 0) + 1
+        elif kind == "ready":
+            with self._lock:
+                self._ready.add((frame[1], frame[2]))
+        elif kind == "bye":
+            with self._lock:
+                self._byes.add(key)
+                self._alive.pop(conn, None)
+            return True
+        return False
 
     def _drain_egress(self) -> None:
         """Single writer for every worker pipe (see module docstring)."""
@@ -681,13 +737,16 @@ class ProcessRuntime(Runtime):
         )
 
     def worker_errors(self) -> dict[tuple[str, int], list[str]]:
-        """Handler exceptions recorded inside each worker (diagnostics)."""
+        """What went wrong at each worker (diagnostics): exceptions its
+        handlers raised, inbound frames it could not parse, and frames of
+        its own that the router could not."""
         with self._lock:
-            return {
-                key: list(stats.get("errors", ()))
-                for key, stats in self._stats.items()
-                if stats.get("errors")
+            found = {
+                key: list(self._stats.get(key, {}).get("errors", ()))
+                + self._frame_errors.get(key, [])
+                for key in {*self._stats, *self._frame_errors}
             }
+        return {key: errors for key, errors in found.items() if errors}
 
     # -- teardown ------------------------------------------------------------
 

@@ -13,10 +13,12 @@ layering:
   connection rides the discrete-event kernel, and the in-process
   connection backs the threaded runtime;
 - :mod:`repro.transport.wire` — framing of protocol messages into
-  authenticated wire envelopes.
+  authenticated wire envelopes, and the envelopes' two wire forms: the
+  JSON one that rides inside messages and the binary one a transport
+  hop carries.
 
 Contract: this is the only layer that constructs envelopes (rule
-WIRE003) — encode once through the blob cache, digest once per message,
+WIRE003) — encode once into a shared blob, digest once per message,
 sign once per multicast, and, with batching enabled, one MAC vector per
 (sender, receiver) batch via :class:`repro.transport.wire.BatchEnvelope`
 and ``ChannelAdapter.flush``/``open_batch``. Full description:

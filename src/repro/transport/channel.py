@@ -133,7 +133,7 @@ class ChannelAdapter:
         voter while transmitting only to the primary, so the primary can
         embed the envelope as proof every voter can verify. ``message``
         may be a pre-encoded :class:`~repro.common.encoding.WireBlob`;
-        plain messages are encoded exactly once through the blob cache.
+        plain messages are encoded exactly once, into a blob.
 
         With batching enabled the message is buffered until
         :meth:`flush`; proof-path messages (audience beyond recipients)

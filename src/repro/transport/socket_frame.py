@@ -5,8 +5,9 @@ substrate ships over a socket — the same ``b"net\\0"`` protocol frames
 and control tuples it ships over pipes — is wrapped in a 4-byte
 big-endian length prefix. The payload bytes themselves stay opaque at
 this layer: :class:`~repro.transport.wire.WireEnvelope` /
-:class:`~repro.transport.wire.BatchEnvelope` encoding happens above, in
-the canonical codec, exactly as on the pipe transport.
+:class:`~repro.transport.wire.BatchEnvelope` encoding happens above
+(:func:`~repro.transport.wire.envelope_to_bytes`), exactly as on the
+pipe transport.
 
 Two pieces:
 

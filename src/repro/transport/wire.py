@@ -9,8 +9,10 @@ separation between the Perpetual core and the ChannelAdapter.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
+from repro.common.errors import ProtocolError
 from repro.crypto.auth import Authenticator
 from repro.crypto.digest import digest
 
@@ -145,8 +147,9 @@ def envelope_to_wire(envelope: WireEnvelope | BatchEnvelope) -> list:
     Perpetual embeds the ``fc + 1`` matching caller request envelopes in
     the agreement payload as proof that the calling service really issued
     the request; every target voter re-verifies its own MAC entry in each
-    embedded envelope. Batch envelopes flatten recursively (the process
-    substrate frames them through this same function).
+    embedded envelope. Batch envelopes flatten recursively. This is the
+    form *inside* messages; a transport hop carries
+    :func:`envelope_to_bytes` instead.
     """
     if type(envelope) is BatchEnvelope:
         return [
@@ -172,3 +175,145 @@ def envelope_from_wire(data: list) -> WireEnvelope | BatchEnvelope:
         )
     payload, auth = data
     return WireEnvelope(payload=payload, auth=auth_from_wire(auth))
+
+
+# ---------------------------------------------------------------------------
+# The binary form: what a transport hop carries
+# ---------------------------------------------------------------------------
+#
+# The length-prefixed layout of ``batch_frame`` plus the entry and item
+# counts it lacks to be parseable (all integers big-endian)::
+#
+#     envelope = b"e" u32(len payload) payload auth
+#     batch    = b"b" auth u32(len items) item*
+#     item     = b"p" u32(len payload) payload | envelope
+#     auth     = u16(len sender) sender u16(len entries) entry*
+#     entry    = u16(len name) name u16(len tag) tag
+#
+# Payloads and MAC tags travel raw, names as UTF-8. The JSON form above
+# stays the one that rides *inside* messages (stage-1 proofs) and the
+# reference the tests compare this one against.
+
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+
+
+def _auth_parts(auth: Authenticator, append) -> None:
+    sender = auth.sender.encode()
+    append(_U16.pack(len(sender)))
+    append(sender)
+    append(_U16.pack(len(auth.entries)))
+    for name, tag in auth.entries:
+        encoded = name.encode()
+        append(_U16.pack(len(encoded)))
+        append(encoded)
+        append(_U16.pack(len(tag)))
+        append(tag)
+
+
+def _envelope_parts(envelope: WireEnvelope, append) -> None:
+    payload = envelope.payload
+    append(b"e" + _U32.pack(len(payload)))
+    append(payload)
+    _auth_parts(envelope.auth, append)
+
+
+def envelope_to_bytes(envelope: WireEnvelope | BatchEnvelope) -> bytes:
+    """The envelope in the binary form a transport hop carries.
+
+    The sender's payload bytes and MAC tags are copied, never
+    re-serialised: the receiver verifies its MAC entry over exactly the
+    bytes the sender digested.
+    """
+    parts: list[bytes] = []
+    append = parts.append
+    if type(envelope) is BatchEnvelope:
+        append(b"b")
+        _auth_parts(envelope.auth, append)
+        append(_U32.pack(len(envelope.items)))
+        for kind, value in envelope.items:
+            if kind == "p":
+                append(b"p" + _U32.pack(len(value)))
+                append(value)
+            else:
+                _envelope_parts(value, append)
+    else:
+        _envelope_parts(envelope, append)
+    return b"".join(parts)
+
+
+def _field(data: bytes, offset: int, prefix: struct.Struct) -> tuple[bytes, int]:
+    """The length-prefixed field at ``offset`` and where it ends,
+    refusing a length that reads past the buffer before slicing."""
+    (size,) = prefix.unpack_from(data, offset)
+    start = offset + prefix.size
+    end = start + size
+    if end > len(data):
+        raise ProtocolError(
+            f"envelope field of {size} bytes at offset {start} overruns "
+            f"the {len(data)}-byte frame"
+        )
+    return data[start:end], end
+
+
+def _read_auth(data: bytes, offset: int) -> tuple[Authenticator, int]:
+    sender, offset = _field(data, offset, _U16)
+    (count,) = _U16.unpack_from(data, offset)
+    offset += 2
+    entries = []
+    for _ in range(count):
+        name, offset = _field(data, offset, _U16)
+        tag, offset = _field(data, offset, _U16)
+        entries.append((name.decode(), tag))
+    return Authenticator(sender=sender.decode(), entries=tuple(entries)), offset
+
+
+def _read_envelope(data: bytes, offset: int) -> tuple[WireEnvelope, int]:
+    """A plain envelope whose kind byte sits just before ``offset``."""
+    payload, offset = _field(data, offset, _U32)
+    auth, offset = _read_auth(data, offset)
+    return WireEnvelope(payload=payload, auth=auth), offset
+
+
+def envelope_from_bytes(
+    data: bytes, offset: int = 0
+) -> tuple[WireEnvelope | BatchEnvelope, int]:
+    """Inverse of :func:`envelope_to_bytes`, strict: ``(envelope, end)``.
+
+    ``data[offset:]`` must hold exactly one envelope, so ``end`` is
+    always ``len(data)``. The bytes come from another principal:
+    anything else — an unknown kind byte, a length that overruns the
+    buffer (checked before slicing), an undecodable name, trailing
+    bytes — raises :class:`~repro.common.errors.ProtocolError`.
+    """
+    if type(data) is not bytes:
+        data = bytes(data)  # the decode memos key on bytes payloads
+    try:
+        kind = data[offset:offset + 1]
+        if kind == b"e":
+            envelope, end = _read_envelope(data, offset + 1)
+        elif kind == b"b":
+            auth, end = _read_auth(data, offset + 1)
+            (count,) = _U32.unpack_from(data, end)
+            end += 4
+            items = []
+            for _ in range(count):
+                kind = data[end:end + 1]
+                if kind == b"p":
+                    value, end = _field(data, end + 1, _U32)
+                    items.append(("p", value))
+                elif kind == b"e":
+                    value, end = _read_envelope(data, end + 1)
+                    items.append(("e", value))
+                else:
+                    raise ProtocolError(f"unknown batch item kind {kind!r}")
+            envelope = BatchEnvelope(items=tuple(items), auth=auth)
+        else:
+            raise ProtocolError(f"unknown envelope kind {kind!r}")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"malformed envelope frame: {exc}") from exc
+    if end != len(data):
+        raise ProtocolError(
+            f"{len(data) - end} trailing bytes after the envelope"
+        )
+    return envelope, end

@@ -80,3 +80,38 @@ def test_unknown_transport_rejected():
 
     with pytest.raises(ConfigurationError, match="transport"):
         ProcessRuntime(transport="carrier-pigeon")
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_frames_far_above_the_pipe_buffer_complete(transport):
+    # A 256 KiB body makes every request, reply and pre-prepare (which
+    # embeds the request as proof, base64-inflated) a frame four to six
+    # times the 64 KiB pipe buffer, three calls at once, multicast to
+    # four workers. The parent's router/egress split exists so that no
+    # write can block the reader that would drain it; this is the run
+    # that would deadlock without it. (Not 1 MiB: at that size one call
+    # costs more CPU than the 250 ms retransmission and 500 ms
+    # view-change timeouts allow on a loaded two-core host, and the run
+    # then measures those timeouts, not the frames.)
+    from repro.scenario.spec import ScenarioBuilder
+
+    calls = 3
+    spec = (
+        ScenarioBuilder(f"big-frame-{transport}")
+        .batching("off")
+        .service("target", n=4, app="echo")
+        .service(
+            "caller", n=1, app="async_caller", target="target",
+            total_calls=calls, window=calls, body={"blob": "x" * (256 << 10)},
+        )
+        .build()
+    )
+    # run_on asserts worker_errors() == {}.
+    metrics = run_on(
+        ProcessRuntime(poll_interval_s=0.05, transport=transport),
+        spec,
+        until_s=60,
+    )
+    assert metrics.processes == 5
+    assert metrics.services["caller"].completed_calls == calls
+    assert metrics.services["caller"].aborted_calls == 0

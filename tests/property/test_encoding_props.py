@@ -112,7 +112,7 @@ def test_wire_blob_matches_direct_encode(value):
 @given(values)
 @settings(max_examples=100)
 def test_wire_blob_cache_roundtrips(value):
-    container = [value]  # ensure a cacheable (non-interned) identity
+    container = [value]
     blob = wire_blob(container)
-    assert wire_blob(container) is blob
+    assert wire_blob(blob) is blob  # a blob passes through, encoded once
     assert decode_payload(blob.data) == [value]

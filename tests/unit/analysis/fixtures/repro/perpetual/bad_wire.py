@@ -6,7 +6,11 @@ hand-built envelopes are exactly what WIRE001-003 exist to catch.
 
 from repro.common.encoding import decode_message, encode_message
 from repro.crypto.digest import digest, digest_hex
-from repro.transport.wire import WireEnvelope
+from repro.transport.wire import (
+    WireEnvelope,
+    envelope_from_bytes,
+    envelope_to_bytes,
+)
 
 
 def frame(msg):
@@ -15,6 +19,14 @@ def frame(msg):
 
 def unframe(payload):
     return decode_message(payload)  # expect: WIRE001
+
+
+def hop_frame(envelope):
+    return envelope_to_bytes(envelope)  # expect: WIRE001
+
+
+def hop_parse(data):
+    return envelope_from_bytes(data, 0)  # expect: WIRE001
 
 
 def proof_digest(payload):

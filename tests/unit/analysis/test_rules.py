@@ -40,6 +40,7 @@ def reported_findings(path: Path) -> set[tuple[str, int]]:
 BAD_FIXTURES = [
     FIXTURES / "repro" / "clbft" / "bad_determinism.py",
     FIXTURES / "repro" / "clbft" / "bad_asyncio.py",
+    FIXTURES / "repro" / "clbft" / "messages.py",
     FIXTURES / "repro" / "perpetual" / "bad_wire.py",
     FIXTURES / "repro" / "perpetual" / "bad_sharding.py",
     FIXTURES / "locks_bad" / "repro" / "runtime" / "cluster.py",
@@ -69,6 +70,7 @@ GOOD_FIXTURES = [
     FIXTURES / "repro" / "sim" / "rng.py",
     FIXTURES / "repro" / "perpetual" / "good_wire.py",
     FIXTURES / "repro" / "transport" / "channel.py",
+    FIXTURES / "repro" / "scenario" / "process.py",
     FIXTURES / "repro" / "sharding" / "router.py",
     FIXTURES / "locks_good" / "repro" / "runtime" / "cluster.py",
 ]
@@ -92,11 +94,12 @@ def test_check_paths_aggregates_and_counts_files():
     findings, files_checked = check_paths([str(FIXTURES / "repro")])
     # Everything under fixtures/repro: the bad files' markers, and
     # nothing from the good files.
-    expected = (
-        expected_findings(BAD_FIXTURES[0])
-        | expected_findings(BAD_FIXTURES[1])
-        | expected_findings(BAD_FIXTURES[2])
-        | expected_findings(BAD_FIXTURES[3])
+    expected = set().union(
+        *(
+            expected_findings(path)
+            for path in BAD_FIXTURES
+            if path.is_relative_to(FIXTURES / "repro")
+        )
     )
     assert {(v.rule, v.line) for v in findings} == expected
     assert files_checked == len(list((FIXTURES / "repro").rglob("*.py")))

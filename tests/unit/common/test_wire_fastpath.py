@@ -14,7 +14,6 @@ from repro.common.encoding import (
     IdentityMemo,
     WireBlob,
     canonical_encode,
-    clear_blob_cache,
     clear_wire_caches,
     decode_payload,
     wire_blob,
@@ -51,13 +50,6 @@ class TestWireBlob:
         assert blob.digest == first
         assert METRICS.digest_calls == 0
         assert METRICS.digest_cache_hits == 1
-
-    def test_same_object_hits_cache(self):
-        message = {"x": 1}
-        a = wire_blob(message)
-        b = wire_blob(message)
-        assert a is b
-        assert METRICS.encode_cache_hits == 1
 
     def test_equal_but_distinct_objects_do_not_alias(self):
         a = wire_blob({"x": 1})
@@ -182,11 +174,8 @@ class TestIdentityMemo:
     def test_clear_wire_caches_empties_registered_memos(self):
         memo = IdentityMemo()
         memo.get({"a": 1}, len)
-        keyed = {"b": 2}
-        blob = wire_blob(keyed)
         clear_wire_caches()
         assert len(memo._cache) == 0
-        assert wire_blob(keyed) is not blob  # blob cache also cleared
 
 
 class TestMetrics:

@@ -10,7 +10,6 @@ one payload digest, with per-receiver work limited to one short MAC each.
 import pytest
 
 from repro.clbft.messages import decode_message, encode_message
-from repro.common.encoding import clear_blob_cache
 from repro.common.metrics import METRICS
 from repro.crypto.keys import KeyStore
 from repro.transport.channel import ChannelAdapter
@@ -27,10 +26,8 @@ class CapturingConnection(Connection):
 
 @pytest.fixture(autouse=True)
 def _fresh():
-    clear_blob_cache()
     METRICS.reset()
     yield
-    clear_blob_cache()
     METRICS.reset()
 
 
