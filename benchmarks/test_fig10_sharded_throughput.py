@@ -17,7 +17,7 @@ count, and the >= 2x acceptance bound holds on small containers.
 
 The gated representative cell (``benchmarks/compare.py``, 10% median
 gate) is the deterministic simulator running the 2-group sharded echo
-preset through its per-group sub-kernels; the measured process-substrate
+preset with both groups on its one kernel; the measured process-substrate
 speedup is stamped on the sample via ``extra_info`` so every
 ``BENCH_<TAG>.json`` trajectory point records it.
 """
@@ -126,7 +126,7 @@ def test_fig10_benchmark_representative_cell(
     # Steady-state measurement (one warmup round, median of five):
     # benchmarks/compare.py gates this cell's median at 10%. The cell is
     # the deterministic sim substrate running the 2-group sharded echo
-    # preset end to end through its per-group sub-kernels.
+    # preset end to end, both groups on one kernel.
     spec = sharded_echo_scenario(group_count=2, n=4, total_calls=6)
     result = benchmark.pedantic(
         lambda: run_scenario(spec, runtime="sim"),

@@ -1,13 +1,13 @@
 """Determinism rules: protocol and simulator code must replay bit-identically.
 
 Scope: the modules whose behaviour the sim substrate's parity tests pin
-(``sim/``, ``clbft/``, ``perpetual/``, ``ws/``, ``faults/``,
-``scenario/sim.py``, ``sharding/``, and the asyncio substrate
-``runtime/aio.py``). On this code, wall-clock reads, ambient
-randomness, unordered iteration that reaches the wire, identity-keyed
-match state, and bare asyncio sleeps/loop-clock reads are exactly the
-constructs that break same-seed replay — each gets its own rule so
-suppressions stay precise.
+(``sim/``, ``clbft/``, ``perpetual/``, ``ws/``, ``faults/``, the
+simulator's deploy loop ``scenario/local.py`` and ``scenario/sim.py``,
+``sharding/``, and the asyncio substrate ``runtime/aio.py``). On this
+code, wall-clock reads, ambient randomness, unordered iteration that
+reaches the wire, identity-keyed match state, and bare asyncio
+sleeps/loop-clock reads are exactly the constructs that break same-seed
+replay — each gets its own rule so suppressions stay precise.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ DETERMINISM_SCOPE = (
     "perpetual/",
     "ws/",
     "faults/",
+    "scenario/local.py",
     "scenario/sim.py",
     "sharding/",
     "runtime/aio.py",

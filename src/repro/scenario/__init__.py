@@ -1,4 +1,4 @@
-"""One scenario API, three substrates.
+"""One scenario API, four substrates.
 
 ``repro.scenario`` is the single deployment entry point of the
 reproduction: a declarative, JSON-round-trippable
@@ -8,8 +8,11 @@ network model, crypto cost model, and fault injections once, and any
 
 - ``sim``      — the deterministic discrete-event kernel (all figures);
 - ``threaded`` — one OS thread per protocol node, racy interleavings;
+- ``asyncio``  — every protocol node a task on one event loop;
 - ``process``  — one OS process per voter/driver pair, fused-codec
-  envelopes over pipes (real parallelism).
+  envelopes over pipes or localhost TCP (real parallelism).
+
+The first three share one deploy loop (:mod:`repro.scenario.local`).
 
 Typical use::
 

@@ -156,9 +156,9 @@ def sharded_echo_scenario(
 ) -> ScenarioSpec:
     """Echo parity, sharded: one closed echo/caller pair per group.
 
-    Group-closed (no cross-group calls), so the same workload runs on
-    all three substrates — the simulator executes each group in its own
-    sub-kernel. The 2-group flavour is the fig10 representative cell.
+    Group-closed (no cross-group calls); every substrate runs all groups
+    side by side on one flat namespace, the simulator on one kernel. The
+    2-group flavour is the fig10 representative cell.
     """
     builder = ScenarioBuilder(
         name or f"sharded-echo-{group_count}-{n}-{total_calls}"
@@ -226,7 +226,7 @@ def sharded_tpcw_scenario(
     millions-of-users shape: aggregate throughput scales with the number
     of groups because every group orders, executes, and thinks
     independently. ``service_name`` routing pins every service to its
-    group, so the preset runs on all three substrates.
+    group; the preset runs on all four substrates.
     """
     if n_bank is None:
         n_bank = n_pge

@@ -59,8 +59,9 @@ Wiring:
   worker's bootstrap. ``link`` faults parameterise the modelled network
   and are rejected (simulator-only).
 
-``run`` polls worker counters until they are stable (quiescence) or the
-wall-clock budget elapses; ``metrics`` performs one fresh poll so the
+``run`` polls worker counters until they are stable over polls every
+live worker answered (quiescence) or the wall-clock budget elapses;
+``metrics`` performs one fresh poll so the
 numbers are current even after ``run`` returned early.
 """
 
@@ -643,6 +644,7 @@ class ProcessRuntime(Runtime):
         budget = self._spec.duration_s if until_s is None else until_s
         deadline = time.monotonic() + budget
         previous: dict | None = None
+        previous_seq: dict = {}
         stable = 0
         while time.monotonic() < deadline:
             # No worker exits before the stop broadcast: a dead process
@@ -666,6 +668,14 @@ class ProcessRuntime(Runtime):
                           if k not in ("pid", "counters")}
                     for key, stats in self._stats.items()
                 }
+                # A worker busy in a handler answers no poll, and its
+                # last frame would repeat as if nothing were happening:
+                # a poll counts only if every live worker answered it.
+                answered = all(
+                    self._stats_seq.get(key, 0) > previous_seq.get(key, 0)
+                    for key in self._alive.values()
+                )
+                previous_seq = dict(self._stats_seq)
             complete = len(snapshot) == len(self._conns)
             # Settled = counters stable over consecutive polls AND no
             # worker reports in-flight out-calls or armed timers (a
@@ -677,7 +687,7 @@ class ProcessRuntime(Runtime):
                 and stats.get("timers_armed", 0) == 0
                 for stats in snapshot.values()
             )
-            if settled and snapshot == previous:
+            if settled and answered and snapshot == previous:
                 stable += 1
                 warmed = time.monotonic() - self._epoch >= 1.0
                 if stable >= QUIESCENT_POLLS and warmed:

@@ -3,10 +3,11 @@
 A :class:`Deployment` binds the discrete-event kernel, the key store, the
 topology (the ``replicas.xml`` model), and the registry together, and
 deploys services as :class:`~repro.perpetual.group.ServiceGroup`\\ s of
-co-located voter/driver pairs. :class:`SimRuntime` executes a declarative
-:class:`~repro.scenario.spec.ScenarioSpec` on top of it — the imperative
-``Deployment`` surface remains available for tests and bespoke setups,
-but every experiment entry point goes through scenarios.
+co-located voter/driver pairs — the imperative surface for tests,
+examples and bespoke setups. :class:`SimRuntime` executes a declarative
+:class:`~repro.scenario.spec.ScenarioSpec` on the same kernel through
+the shared deploy loop of :mod:`repro.scenario.local`; every experiment
+entry point goes through scenarios.
 
 The simulator is the only substrate with a modelled network, so it is
 also the only one honouring latency parameters and ``link`` faults;
@@ -16,24 +17,12 @@ crashed machine never speaks again).
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.common.encoding import clear_wire_caches
 from repro.common.errors import ConfigurationError
-from repro.common.metrics import METRICS
-from repro.faults import FaultPlan
 from repro.crypto.cost import CryptoCostModel, MAC_COST_MODEL
 from repro.crypto.keys import KeyStore
 from repro.perpetual.executor import AppFactory
 from repro.perpetual.group import ServiceGroup, Topology, deploy_service
-from repro.perpetual.voter import driver_name, voter_name
-from repro.scenario.apps import build_app, scenario_cost_model
-from repro.scenario.runtime import (
-    Runtime,
-    ScenarioMetrics,
-    live_snapshots,
-    service_metrics,
-)
+from repro.scenario.local import LocalRuntime
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.kernel import Simulator, US_PER_S
 from repro.sim.network import (
@@ -136,7 +125,6 @@ class Deployment:
         n: int | None = None,
         cost_model: CryptoCostModel = MAC_COST_MODEL,
         clbft_overrides: dict | None = None,
-        engine_factory: Callable[[], SoapEngine] | None = None,
         hosts: list[str] | None = None,
         fault_plan=None,
         batching: str | int = "off",
@@ -152,9 +140,7 @@ class Deployment:
             keys=self.keys,
             service=name,
             app_factory=collecting_executor_factory(
-                name, app, adapters,
-                engine_factory=engine_factory,
-                resolve=self.registry.service_name,
+                name, app, adapters, resolve=self.registry.service_name
             ),
             cost_model=cost_model,
             clbft_overrides=clbft_overrides,
@@ -240,7 +226,7 @@ def build_network(spec: ScenarioSpec) -> tuple[NetworkModel, PartitionModel | No
     else:
         raise ConfigurationError(f"unknown network kind {spec.network.kind!r}")
 
-    link_faults = [f for f in spec.faults if f.kind == "link"]
+    link_faults = [f for f in spec.all_faults() if f.kind == "link"]
     if link_faults:
         faulty = FaultyLink(model)
         for fault in link_faults:
@@ -251,132 +237,44 @@ def build_network(spec: ScenarioSpec) -> tuple[NetworkModel, PartitionModel | No
         model = faulty
 
     partition: PartitionModel | None = None
-    if any(f.kind == "crash" for f in spec.faults):
+    if any(f.kind == "crash" for f in spec.all_faults()):
         partition = PartitionModel(model)
         model = partition
     return model, partition
 
 
-class SimRuntime(Runtime):
+class SimRuntime(LocalRuntime):
     """Executes scenarios on the deterministic discrete-event kernel.
 
-    A sharded spec (``spec.groups`` non-empty) runs as one sub-kernel
-    per group: ``run()`` deploys, runs, and observes each group's
-    single-group slice (see :func:`repro.sharding.group_subspec`) on a
-    fresh child ``SimRuntime`` in declaration order — sequential, so the
-    METRICS counter windows of the groups never overlap — and
-    ``metrics()`` merges the per-group observations deterministically.
-    Single-group scenarios take the classic path below, untouched and
-    bit-identical to previous releases. Cross-group calls cannot be
-    simulated (each sub-kernel is a closed world); the live substrates
-    execute them for real.
+    Every service of the spec — all groups of a sharded one — is
+    deployed onto one :class:`~repro.sim.kernel.Simulator` carrying the
+    spec's network; a crash fault cuts the replica off that network.
     """
 
     name = "sim"
 
     def __init__(self) -> None:
-        self.deployment: Deployment | None = None
-        self._spec: ScenarioSpec | None = None
-        self._probes: dict[str, Callable[[], dict] | None] = {}
-        self._metrics_base: dict[str, int] = {}
-        #: Router injected into drivers (sharded sub-kernels only).
-        self._router = None
-        #: Sharded parent state: per-group (name, metrics) observations.
-        self._group_parts: list[tuple[str, ScenarioMetrics]] | None = None
+        super().__init__()
+        self.sim: Simulator | None = None
+        self._partition: PartitionModel | None = None
 
-    def deploy(self, spec: ScenarioSpec) -> "SimRuntime":
-        spec.validate()
-        if spec.groups:
-            # Sharded: plan only — each group's sub-kernel is deployed
-            # lazily by run(), immediately before it runs.
-            from repro.sharding import build_router
+    def _node_table(self, spec: ScenarioSpec) -> Simulator:
+        network, self._partition = build_network(spec)
+        self.sim = Simulator()
+        self.sim.set_network(network)
+        return self.sim
 
-            self._spec = spec
-            self._router = build_router(spec)
-            self._group_parts = []
-            return self
-        # Every scenario starts with cold wire caches: runs measure equal
-        # cache state and dead message graphs from earlier runs are freed.
-        clear_wire_caches()
-        network, partition = build_network(spec)
-        fault_plan = FaultPlan.from_spec(spec)
-        deployment = Deployment(name=spec.name, network=network)
-        for decl in spec.services:
-            deployment.declare(decl.name, decl.n)
-        for decl in spec.services:
-            built = build_app(decl.app)
-            deployment.add_service(
-                decl.name,
-                built.factory,
-                cost_model=scenario_cost_model(spec, decl),
-                clbft_overrides=decl.clbft,
-                hosts=list(decl.hosts) if decl.hosts is not None else None,
-                fault_plan=None if fault_plan.empty else fault_plan,
-                batching=spec.batching,
-                router=self._router,
-                home_group=(
-                    self._router.group_for_service(decl.name)
-                    if self._router is not None else None
-                ),
-            )
-            self._probes[decl.name] = built.probe
-        for fault in spec.faults:
-            if fault.kind == "crash":
-                partition.kill(voter_name(fault.service, fault.index))
-                partition.kill(driver_name(fault.service, fault.index))
-        self.deployment = deployment
-        self._spec = spec
-        self._metrics_base = METRICS.snapshot()
-        return self
+    def _crash(self, node: str) -> None:
+        self._partition.kill(node)
 
-    def run(self, until_s: float | None = None) -> None:
-        if self._group_parts is not None:
-            from repro.sharding import group_subspec
-
-            for group in self._spec.groups:
-                child = SimRuntime()
-                child._router = self._router
-                child.deploy(group_subspec(self._spec, group, self._router))
-                child.run(until_s)
-                self._group_parts.append((group.name, child.metrics()))
-            return
-        self.deployment.run(
-            seconds=self._spec.duration_s if until_s is None else until_s,
+    def _run_for(self, seconds: float) -> None:
+        self.sim.run(
+            until_us=self.sim.now_us + int(seconds * US_PER_S),
             max_events=self._spec.max_events,
         )
 
-    def metrics(self) -> ScenarioMetrics:
-        if self._group_parts is not None:
-            from repro.sharding import merge_group_metrics
-
-            return merge_group_metrics(
-                self._spec.name, self.name, self._group_parts
-            )
-        services = {
-            name: service_metrics(
-                self._spec,
-                self._router,
-                name,
-                live_snapshots(
-                    self._spec, name, deployed.group, deployed.adapters,
-                    self._probes[name],
-                ),
-            )
-            for name, deployed in self.deployment.services.items()
-        }
-        snapshot = METRICS.snapshot()
-        return ScenarioMetrics(
-            scenario=self._spec.name,
-            runtime=self.name,
-            services=services,
-            now_us=self.deployment.now_us,
-            events_processed=self.deployment.sim.events_processed,
-            processes=1,
-            counters={
-                key: value - self._metrics_base.get(key, 0)
-                for key, value in snapshot.items()
-            },
-        )
+    def _clock(self) -> tuple[int, int]:
+        return self.sim.now_us, self.sim.events_processed
 
     def shutdown(self) -> None:
         """Nothing to release: the simulator is plain in-process state."""

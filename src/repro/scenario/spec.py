@@ -330,17 +330,12 @@ class ScenarioSpec:
                     f"(known: {', '.join(FAULT_KINDS)})"
                 )
             if fault.kind == "link":
-                if group is None and self.groups:
-                    # Each group runs its own (sub-)network; a link rule
-                    # that is not group-scoped has no single network to
-                    # attach to.
-                    raise ConfigurationError(
-                        "sharded scenarios must declare link faults "
-                        "inside a group"
-                    )
+                # All groups share one network: a top-level rule may
+                # name any principal, a group's rule only its own.
                 self._validate_link_fault(
                     fault,
-                    group.services if group is not None else self.services,
+                    group.services if group is not None
+                    else self.all_services(),
                 )
                 continue
             if group is not None and all(
@@ -781,7 +776,7 @@ class ScenarioBuilder:
 
     def _partition_groups(self) -> tuple[tuple[GroupSpec, ...], tuple[FaultSpec, ...]]:
         """Assemble GroupSpecs and assign each declared fault to the
-        group that owns its service (link faults: the group owning a
+        group that owns its service (link faults: the group owning every
         concrete src/dst principal); the rest stay top-level."""
         if not self._group_services:
             return (), tuple(self._faults)
@@ -795,14 +790,16 @@ class ScenarioBuilder:
         }
         top_level: list[FaultSpec] = []
         for fault in self._faults:
-            group = None
             if fault.kind == "link":
-                for role in ("src", "dst"):
-                    endpoint = fault.params.get(role)
-                    if isinstance(endpoint, str) and "/" in endpoint:
-                        group = owner.get(endpoint.rpartition("/")[0])
-                        if group is not None:
-                            break
+                # A group's rule when every principal it names is the
+                # group's own; a rule across groups stays top-level.
+                named = (fault.params.get("src"), fault.params.get("dst"))
+                owners = {
+                    owner.get(endpoint.rpartition("/")[0])
+                    for endpoint in named
+                    if isinstance(endpoint, str) and "/" in endpoint
+                }
+                group = owners.pop() if len(owners) == 1 else None
             else:
                 group = owner.get(fault.service)
             if group is None:

@@ -6,11 +6,13 @@
 .ThreadedCluster` (one consumer thread per voter/driver, messages
 racing through thread-safe mailboxes), :class:`repro.scenario.aio
 .AsyncioRuntime` on the :class:`~repro.runtime.aio.AioCluster` (every
-node a task on one event loop). Everything but the scheduler is shared.
-There is no modelled network — latency parameters in the spec are
-ignored (real queues are the network) — and ``link`` faults are
-rejected as unsupported (they parameterise the modelled network, which
-only the simulator has). ``crash`` faults map to ``drop_node`` on the
+node a task on one event loop). Deployment and metrics are the deploy
+loop every in-process substrate shares (:mod:`repro.scenario.local`);
+this module adds the scheduler, the wall clock and the *settled*
+predicate. There is no modelled network — latency parameters in the
+spec are ignored (real queues are the network) — and ``link`` faults
+are rejected as unsupported (they parameterise the modelled network,
+which only the simulator has). ``crash`` faults map to ``drop_node`` on the
 replica's voter/driver pair; ``byzantine``, ``delay``, ``partition``,
 and ``restart`` faults run through the same :class:`repro.faults
 .FaultInjector` hooks as every other substrate.
@@ -24,25 +26,11 @@ substrate.
 from __future__ import annotations
 
 import time
-from typing import Callable
 
-from repro.common.encoding import clear_wire_caches
-from repro.common.metrics import METRICS
-from repro.crypto.keys import KeyStore
-from repro.faults import FaultPlan, require_supported_kinds
-from repro.perpetual.group import ServiceGroup, Topology, deploy_service
-from repro.perpetual.voter import driver_name, voter_name
+from repro.perpetual.voter import driver_name
 from repro.runtime.cluster import ThreadedCluster
-from repro.scenario.apps import build_app, scenario_cost_model
-from repro.scenario.runtime import (
-    Runtime,
-    ScenarioMetrics,
-    live_snapshots,
-    service_metrics,
-)
+from repro.scenario.local import LocalRuntime
 from repro.scenario.spec import ScenarioSpec
-from repro.sharding import build_router
-from repro.ws.adapter import WsAdapter, collecting_executor_factory
 
 #: A driver's first-attempt retransmission timeout on the in-process
 #: substrates. The simulator and the process workers keep the driver's
@@ -53,71 +41,27 @@ from repro.ws.adapter import WsAdapter, collecting_executor_factory
 IN_PROCESS_RETRANSMIT_TIMEOUT_US = 100_000
 
 
-class InProcessRuntime(Runtime):
-    """Executes scenarios on one scheduler inside this process."""
+class InProcessRuntime(LocalRuntime):
+    """Executes scenarios on one real-clock scheduler inside this process."""
+
+    unsupported_faults = ("link",)
+    retransmit_timeout_us = IN_PROCESS_RETRANSMIT_TIMEOUT_US
 
     def __init__(self) -> None:
+        super().__init__()
         self.cluster = None
-        self._spec: ScenarioSpec | None = None
-        self._groups: dict[str, ServiceGroup] = {}
-        self._adapters: dict[str, list[WsAdapter]] = {}
-        self._probes: dict[str, Callable[[], dict] | None] = {}
         self._epoch = 0.0
-        self._metrics_base: dict[str, int] = {}
-        self._router = None
 
     def _make_cluster(self):
         """The scheduler to deploy onto (the subclasses' one decision)."""
         raise NotImplementedError
 
-    def deploy(self, spec: ScenarioSpec) -> "InProcessRuntime":
-        spec.validate()
-        require_supported_kinds(spec, ("link",), self.name)
-        fault_plan = FaultPlan.from_spec(spec)
-        # Sharded specs deploy every group onto this one cluster: the
-        # groups' nodes run side by side, and cross-group calls travel
-        # the same mailboxes as local ones — routed, because every
-        # driver gets the router.
-        router = build_router(spec)
-        # Cold wire caches per deployment, as on every substrate.
-        clear_wire_caches()
-        cluster = self._make_cluster()
-        topology = Topology()
-        for decl in spec.all_services():
-            topology.add(decl.name, decl.n)
-        keys = KeyStore.for_deployment(spec.name)
-        for decl in spec.all_services():
-            built = build_app(decl.app)
-            self._adapters[decl.name] = []
-            self._probes[decl.name] = built.probe
-            self._groups[decl.name] = deploy_service(
-                cluster,
-                topology,
-                keys,
-                decl.name,
-                collecting_executor_factory(
-                    decl.name, built.factory, self._adapters[decl.name]
-                ),
-                cost_model=scenario_cost_model(spec, decl),
-                clbft_overrides=decl.clbft,
-                retransmit_timeout_us=IN_PROCESS_RETRANSMIT_TIMEOUT_US,
-                fault_plan=None if fault_plan.empty else fault_plan,
-                batching=spec.batching,
-                router=router,
-                home_group=(
-                    router.group_for_service(decl.name)
-                    if router is not None else None
-                ),
-            )
-        for fault in spec.all_faults():
-            if fault.kind == "crash":
-                cluster.drop_node(voter_name(fault.service, fault.index))
-                cluster.drop_node(driver_name(fault.service, fault.index))
-        self.cluster = cluster
-        self._spec = spec
-        self._router = router
-        self._metrics_base = METRICS.snapshot()
-        return self
+    def _node_table(self, spec: ScenarioSpec):
+        self.cluster = self._make_cluster()
+        return self.cluster
+
+    def _crash(self, node: str) -> None:
+        self.cluster.drop_node(node)
 
     def _settled(self) -> bool:
         """Nothing unprocessed, nothing armed, no out-call in flight.
@@ -138,42 +82,17 @@ class InProcessRuntime(Runtime):
             if driver_name(name, index) not in dropped
         )
 
-    def run(self, until_s: float | None = None) -> None:
+    def _run_for(self, seconds: float) -> None:
         self._epoch = time.monotonic()
-        self.cluster.run(
-            self._settled, self._spec.duration_s if until_s is None else until_s
-        )
+        self.cluster.run(self._settled, seconds)
+
+    def _clock(self) -> tuple[int, int]:
+        elapsed_us = int((time.monotonic() - self._epoch) * 1_000_000)
+        return max(elapsed_us, 0), 0
 
     def errors(self) -> list[BaseException]:
         """Exceptions raised inside node handlers."""
         return self.cluster.errors()
-
-    def metrics(self) -> ScenarioMetrics:
-        services = {
-            name: service_metrics(
-                self._spec,
-                self._router,
-                name,
-                live_snapshots(
-                    self._spec, name, group, self._adapters[name],
-                    self._probes[name],
-                ),
-            )
-            for name, group in self._groups.items()
-        }
-        elapsed_us = int((time.monotonic() - self._epoch) * 1_000_000)
-        snapshot = METRICS.snapshot()
-        return ScenarioMetrics(
-            scenario=self._spec.name,
-            runtime=self.name,
-            services=services,
-            now_us=max(elapsed_us, 0),
-            processes=1,
-            counters={
-                key: value - self._metrics_base.get(key, 0)
-                for key, value in snapshot.items()
-            },
-        )
 
     def shutdown(self) -> None:
         if self.cluster is not None:

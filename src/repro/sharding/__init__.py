@@ -11,11 +11,9 @@ is the *only* place allowed to decide which group owns a principal:
   group-declared services are pinned (``service_name``), top-level
   client services are ring-assigned by their service name
   (``consistent_hash``); ``forward()`` labels a call cross-group;
-- :func:`group_subspec` — flattens one group (plus its ring-assigned
-  clients) into a classic single-group spec for the simulator's
-  per-group sub-kernels;
-- :func:`merge_group_metrics` — the deterministic cross-group metrics
-  merge (group order, sorted counter keys).
+- :func:`build_router` — the router a spec describes (None for classic
+  single-group specs), which every substrate injects into every driver
+  of every group on its one node table or worker set.
 
 **Contract (rule SHARD001):** protocol and application code must not
 construct routers or rings, and must not ask which group owns a
@@ -33,13 +31,5 @@ payload. See the sharding sections of ``docs/architecture.md`` and
 """
 
 from repro.sharding.router import HashRing, RouteDecision, Router, build_router
-from repro.sharding.subspec import group_subspec, merge_group_metrics
 
-__all__ = [
-    "HashRing",
-    "RouteDecision",
-    "Router",
-    "build_router",
-    "group_subspec",
-    "merge_group_metrics",
-]
+__all__ = ["HashRing", "RouteDecision", "Router", "build_router"]

@@ -264,7 +264,6 @@ def collecting_executor_factory(
     service: str,
     app_factory: WsAppFactory,
     adapters: list["WsAdapter"],
-    engine_factory: Callable[[], SoapEngine] | None = None,
     resolve: Callable[[str], str] | None = None,
 ) -> Callable[[], Any]:
     """The per-replica executor factory every substrate deploys with.
@@ -282,35 +281,13 @@ def collecting_executor_factory(
         resolve = ServiceRegistry.service_name
 
     def factory() -> Any:
-        engine = engine_factory() if engine_factory is not None else SoapEngine()
         adapter = WsAdapter(
             service=service,
             app_factory=app_factory,
-            engine=engine,
+            engine=SoapEngine(),
             resolve=resolve,
         )
         adapters.append(adapter)
         return adapter.executor_app()()
 
     return factory
-
-
-def adapt_service(
-    service: str,
-    app_factory: WsAppFactory,
-    engine_factory: Callable[[], SoapEngine] | None = None,
-    resolve: Callable[[str], str] | None = None,
-) -> Callable[[int], tuple[AppFactory, WsAdapter]]:
-    """Per-replica adapter factory used by the deployment layer."""
-
-    def build(index: int) -> tuple[AppFactory, WsAdapter]:
-        engine = engine_factory() if engine_factory is not None else SoapEngine()
-        adapter = WsAdapter(
-            service=service,
-            app_factory=app_factory,
-            engine=engine,
-            resolve=resolve,
-        )
-        return adapter.executor_app(), adapter
-
-    return build

@@ -6,14 +6,20 @@ runtime — sim determinism, real OS-process parallelism, crash-fault
 observer fallback, fail-fast deploy validation, and runtime selection.
 """
 
+import multiprocessing
 import os
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.perpetual.executor import Sleep
+from repro.scenario import BuiltApp, register_app
 from repro.scenario.presets import echo_parity_scenario
 from repro.scenario.process import ProcessRuntime
 from repro.scenario.runtime import get_runtime, run_scenario
-from repro.scenario.spec import FaultSpec
+from repro.scenario.spec import FaultSpec, ScenarioBuilder
+from repro.ws.api import MessageContext, MessageHandler
 
 
 def test_sim_runtime_is_deterministic():
@@ -170,6 +176,71 @@ def test_scheme_qualified_endpoints_resolve_on_every_substrate():
         assert threaded.metrics().services["caller"].completed_calls == 2
     finally:
         threaded.shutdown()
+
+
+@register_app("late_caller")
+def _build_late_caller(params):
+    """One call to ``target`` after ``sleep_us`` of think time."""
+
+    def app():
+        yield Sleep(params["sleep_us"])
+        yield MessageHandler.send_receive(
+            MessageContext(to=params["target"], body={"late": True})
+        )
+
+    return BuiltApp(factory=app)
+
+
+@register_app("stalling_echo")
+def _build_stalling_echo(params):
+    """Echo; the first replica to claim the ``claim`` file then blocks
+    its handler for ``stall_s`` and marks the ``done`` file."""
+
+    def app():
+        while True:
+            request = yield MessageHandler.receive_request()
+            try:
+                os.close(os.open(params["claim"], os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                time.sleep(params["stall_s"])
+                Path(params["done"]).touch()
+            yield MessageHandler.send_reply(
+                MessageContext(body=request.body), request
+            )
+
+    return BuiltApp(factory=app)
+
+
+def test_process_run_waits_for_a_worker_stalled_in_a_handler(tmp_path):
+    # One target replica blocks in its handler for many poll intervals
+    # after the caller has its answer from the other three. The stalled
+    # worker answers no poll meanwhile; its last stats frame (idle,
+    # nothing armed) must not count as stable, or run() returns while
+    # the worker is still working.
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the test's app kinds reach the workers by fork")
+    done = tmp_path / "done"
+    spec = (
+        ScenarioBuilder("stalled-worker")
+        .duration(30)
+        .service("target", n=4, app="stalling_echo",
+                 claim=str(tmp_path / "claim"), done=str(done), stall_s=2.0)
+        .service("caller", n=1, app="late_caller",
+                 target="target", sleep_us=1_200_000)
+        .build()
+    )
+    runtime = ProcessRuntime(poll_interval_s=0.2)
+    runtime.deploy(spec)
+    try:
+        runtime.run(until_s=30)
+        assert done.exists()
+        metrics = runtime.metrics()
+        assert metrics.services["caller"].completed_calls == 1
+        assert runtime.worker_errors() == {}
+    finally:
+        runtime.shutdown()
 
 
 def test_unknown_runtime_rejected():

@@ -1,16 +1,15 @@
 """Integration: sharded-scenario behaviour beyond the conformance matrix.
 
-The group-closed 2-group echo parity run (per-group labels,
-``requests_routed``/``cross_group_calls`` counters, identical outcomes
-on every substrate) is a conformance case now — see
+The group-closed 2-group echo run and the cross-group call (per-group
+labels, ``requests_routed``/``cross_group_calls`` counters, identical
+outcomes on every substrate) are conformance cases — see
 ``test_conformance.py``. This file keeps the sharding behaviour that is
 not simple parity:
 
-- the sim's deterministic cross-group merge replays bit-identically;
-- a consistent-hash top-level client crosses a group boundary through
-  the router on the live substrates (the counters prove the path), while
-  the simulator — whose groups run in closed sub-kernels — rejects the
-  same spec loudly instead of mis-executing it;
+- the sim runs every group on one kernel, replays bit-identically, and
+  reports what the sharded presets reported when each group ran in a
+  kernel of its own (``tests/data/golden_sharded_sim.json``);
+- a top-level link fault on a cross-group link takes effect on the sim;
 - the process substrate places one OS process per voter/driver pair
   across all groups, and its shutdown joins the router/egress threads
   even when a worker fails to spawn mid-deploy (no orphaned threads or
@@ -18,20 +17,26 @@ not simple parity:
   at once, by name and exit code, through the same teardown.
 """
 
+import json
 import multiprocessing
 import os
 import threading
 import time
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.scenario.presets import sharded_echo_scenario
+from repro.scenario.presets import sharded_echo_scenario, sharded_tpcw_scenario
 from repro.scenario.process import ProcessRuntime
-from repro.scenario.runtime import get_runtime, run_scenario
-from repro.scenario.spec import ScenarioBuilder
-from repro.sharding import HashRing
-from tests.integration.conformance import assert_sharded_echo_shape, run_on
+from repro.scenario.runtime import run_scenario
+from repro.scenario.spec import FaultSpec
+from tests.integration.conformance import (
+    assert_sharded_echo_shape,
+    cross_group_spec,
+    run_on,
+)
 
 TOTAL_CALLS = 4
 
@@ -44,8 +49,6 @@ def two_group_echo(name):
 
 class TestTwoGroupEcho:
     def test_sim_is_deterministic(self):
-        from dataclasses import asdict
-
         spec = two_group_echo("sharded-echo-det")
         a = run_scenario(spec, runtime="sim")
         b = run_scenario(spec, runtime="sim")
@@ -62,67 +65,56 @@ class TestTwoGroupEcho:
         assert metrics.processes == 16
 
 
-def cross_group_spec():
-    """A top-level client whose ring home is NOT its target's group.
+#: Sim metrics of the sharded presets, captured by running them when each
+#: group still ran in a kernel of its own, one group after another.
+SHARDED_GOLDEN = json.loads(
+    (Path(__file__).parent.parent / "data" / "golden_sharded_sim.json").read_text()
+)
 
-    The ring is deterministic, so probe it for a client name that lands
-    on g1 while calling into g0 — every issue then crosses a boundary.
-    """
-    ring = HashRing(("g0", "g1"))
-    client = next(
-        name
-        for i in range(50)
-        for name in [f"client{i}"]
-        if ring.assign(name) == "g1"
+GOLDEN_SPECS = {
+    "sharded_echo_2x6": lambda: sharded_echo_scenario(
+        group_count=2, n=4, total_calls=6
+    ),
+    "sharded_echo_3x20": lambda: sharded_echo_scenario(
+        group_count=3, n=4, total_calls=20
+    ),
+    "sharded_tpcw_3": lambda: sharded_tpcw_scenario(
+        group_count=3, rbes_per_group=2, duration_s=8.0,
+        think_time_mean_us=1_000_000,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_SPECS)
+def test_sim_matches_the_per_group_kernel_golden(case):
+    # Field for field, except the kernel's own heap bookkeeping: one
+    # heap holding every group compacts on its own schedule.
+    observed = asdict(run_scenario(GOLDEN_SPECS[case](), runtime="sim"))
+    golden = SHARDED_GOLDEN[case]
+    for metrics in (observed, golden):
+        metrics["counters"].pop("heap_compactions")
+    assert observed == golden
+
+
+def test_sim_link_fault_on_a_cross_group_link_takes_effect():
+    # One network carries every group, so a top-level link rule may name
+    # principals of two groups. Cutting every link from the g1-homed
+    # client's drivers to the g0 primary hides its requests from the
+    # primary: the drivers time out and retransmit before completing.
+    spec, client = cross_group_spec("sharded-cross-link")
+    clean = run_scenario(spec, runtime="sim")
+    lossy = run_scenario(
+        spec.with_(faults=tuple(
+            FaultSpec(kind="link", params={
+                "src": f"{client}/d{i}", "dst": "g0-target/v0", "drop": 1.0,
+            })
+            for i in range(4)
+        )),
+        runtime="sim",
     )
-    return (
-        ScenarioBuilder("sharded-cross")
-        .routing("consistent_hash")
-        .service("g0-target", n=4, app="echo", group="g0")
-        .service("g1-other", n=4, app="echo", group="g1")
-        .service(client, n=4, app="sync_caller",
-                 target="g0-target", total_calls=3)
-        .build()
-    ), client
-
-
-class TestCrossGroupCalls:
-    def test_threaded_routes_across_groups(self):
-        spec, client = cross_group_spec()
-        runtime = get_runtime("threaded")
-        runtime.deploy(spec)
-        try:
-            runtime.run(until_s=60)
-            metrics = runtime.metrics()
-            assert runtime.errors() == []
-        finally:
-            runtime.shutdown()
-        assert metrics.services[client].completed_calls == 3
-        assert metrics.services[client].group == "g1"
-        # 4 caller replicas x 3 calls, every one across the boundary.
-        assert metrics.counters["requests_routed"] == 12
-        assert metrics.counters["cross_group_calls"] == 12
-
-    def test_process_routes_across_groups(self):
-        spec, client = cross_group_spec()
-        runtime = ProcessRuntime(poll_interval_s=0.05)
-        runtime.deploy(spec)
-        try:
-            runtime.run(until_s=60)
-            metrics = runtime.metrics()
-            assert runtime.worker_errors() == {}
-        finally:
-            runtime.shutdown()
-        assert metrics.services[client].completed_calls == 3
-        assert metrics.counters["cross_group_calls"] == 12
-
-    def test_sim_rejects_cross_group_calls(self):
-        # The simulator runs each group in a closed sub-kernel, so a
-        # cross-group call has no path — the deploy-time topology misses
-        # the target and the run fails loudly (documented limitation).
-        spec, _ = cross_group_spec()
-        with pytest.raises(ConfigurationError):
-            run_scenario(spec, runtime="sim")
+    assert clean.counters["retransmissions"] == 0
+    assert lossy.counters["retransmissions"] > 0
+    assert lossy.services[client].completed_calls == 3
 
 
 def assert_no_orphans(baseline_threads):

@@ -25,7 +25,7 @@ def echo_spec(tag):
 
 def test_simulator_keeps_the_driver_default():
     runtime = get_runtime("sim").deploy(echo_spec("sim"))
-    drivers = runtime.deployment.services["caller"].group.drivers
+    drivers = runtime._groups["caller"].drivers
     assert RETRANSMIT_TIMEOUT_US == 250_000
     assert {d._retransmit_timeout_us for d in drivers} == {250_000}
 

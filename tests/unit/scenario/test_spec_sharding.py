@@ -118,14 +118,6 @@ class TestValidationNegatives:
         ):
             spec_with(groups=groups).validate()
 
-    def test_sharded_top_level_link_fault_is_rejected(self):
-        spec = spec_with(
-            groups=[GroupSpec(name="g0", services=(decl("svc"),))],
-            faults=(FaultSpec(kind="link", params={"src": "*", "dst": "*"}),),
-        )
-        with pytest.raises(ConfigurationError, match="inside a group"):
-            spec.validate()
-
     def test_group_link_fault_scoped_to_group_principals(self):
         fault = FaultSpec(
             kind="link", params={"src": "other/v0", "dst": "*", "drop": 0.5}
@@ -137,6 +129,53 @@ class TestValidationNegatives:
         # "other" exists — but in g1, so g0's link rule cannot see it.
         with pytest.raises(ConfigurationError, match="names no principal"):
             spec_with(groups=groups).validate()
+
+
+def top_level_link_spec(params):
+    """Two groups on one network, one top-level link rule."""
+    return spec_with(
+        groups=[
+            GroupSpec(name="g0", services=(decl("svc"),)),
+            GroupSpec(name="g1", services=(decl("other"),)),
+        ],
+        faults=(FaultSpec(kind="link", params=params),),
+    )
+
+
+class TestTopLevelLinkFaults:
+    def test_sharded_top_level_link_fault_validates(self):
+        # One network carries every group, so a top-level rule may cut a
+        # link between two of them.
+        top_level_link_spec(
+            {"src": "svc/v0", "dst": "other/d3", "drop": 1.0}
+        ).validate()
+        top_level_link_spec({"src": "*", "dst": "*"}).validate()
+
+    def test_builder_keeps_a_cross_group_rule_top_level(self):
+        spec = (
+            ScenarioBuilder("cross-link")
+            .service("a", n=4, app="echo", group="g0")
+            .service("b", n=4, app="echo", group="g1")
+            .link_fault("a/v0", "b/d1", drop=1.0)
+            .link_fault("a/v0", "*", drop=0.5)
+            .build()
+        )
+        assert [f.params["dst"] for f in spec.faults] == ["b/d1"]
+        assert [f.params["dst"] for f in spec.groups[0].faults] == ["*"]
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"src": "*", "dst": "*", "loss": 0.5}, "unknown params"),
+            ({"src": "ghost/v0", "dst": "*"}, "names no principal"),
+            ({"src": "other/v4", "dst": "*"}, "names no principal"),
+            ({"src": "svc/v0", "dst": "other/v0", "drop": 1.5}, r"\[0, 1\]"),
+        ],
+        ids=["unknown-param", "unknown-service", "index-out-of-range", "drop"],
+    )
+    def test_malformed_top_level_link_fault(self, params, message):
+        with pytest.raises(ConfigurationError, match=message):
+            top_level_link_spec(params).validate()
 
 
 class TestRoundTrip:
