@@ -10,7 +10,7 @@ review time, not after a perf regression.
 Suppressions (``# analysis: allow(WIRE00x) — reason``) mark the
 deliberate exceptions: match-key derivations that are memoized per
 message object, MAC-input bytes both ends must derive independently,
-and proof verification that re-decodes embedded envelopes by design.
+and the per-payload decode and digest of stage-2 request items.
 """
 
 from __future__ import annotations
@@ -70,6 +70,16 @@ _CODEC_NAMES = frozenset(
 
 _HOP_CODEC_NAMES = frozenset(("envelope_to_bytes", "envelope_from_bytes"))
 
+#: The JSON envelope form: transport/ keeps it, but no protocol message
+#: embeds an envelope — a stage-2 item carries payload bytes and
+#: authenticators, never a whole envelope.
+EMBED_CODEC_MODULES = (
+    "transport/",
+    "analysis/",
+)
+
+_EMBED_CODEC_NAMES = frozenset(("envelope_to_wire", "envelope_from_wire"))
+
 _DIGEST_NAMES = frozenset(("digest", "digest_hex"))
 
 
@@ -106,7 +116,9 @@ class DirectCodecRule(Rule):
         "counters pin at runtime. Send objects (or WireBlobs) through "
         "the channel; inject codecs via the encode=/decode= parameters. "
         "The binary envelope form (envelope_to_bytes/envelope_from_bytes) "
-        "is narrower still: transport/ and scenario/process.py only."
+        "is narrower still: transport/ and scenario/process.py only; the "
+        "JSON envelope form (envelope_to_wire/envelope_from_wire) is "
+        "transport/ only, so no message can embed an envelope."
     )
 
     #: ``(callee names, modules that may call them, what to do instead)``.
@@ -123,6 +135,12 @@ class DirectCodecRule(Rule):
             "outside transport/ and the process substrate boundary — an "
             "envelope takes its binary form only where a transport hop "
             "frames it",
+        ),
+        (
+            _EMBED_CODEC_NAMES,
+            EMBED_CODEC_MODULES,
+            "outside transport/ — no message embeds an envelope; carry the "
+            "payload bytes and auth_to_wire(envelope.auth) instead",
         ),
     )
 

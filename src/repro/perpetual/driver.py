@@ -29,6 +29,7 @@ from repro.clbft.messages import decode_message, encode_message
 from repro.common.encoding import IdentityMemo
 from repro.common.ids import RequestId, RequestIdAllocator, ServiceId
 from repro.crypto.cost import CryptoCostModel, MAC_COST_MODEL
+from repro.crypto.digest import digest
 from repro.crypto.keys import KeyStore
 from repro.perpetual.executor import (
     AppFactory,
@@ -65,7 +66,7 @@ RETRANSMIT_JITTER = 0.1
 #: deterministic abort rather than rearming forever.
 RETRY_BUDGET = 10
 
-_BUNDLE_AUTH_BYTES = IdentityMemo()
+_BUNDLE_AUTH_DIGESTS = IdentityMemo()
 
 
 class DriverNode(ProtocolNode):
@@ -387,10 +388,12 @@ class DriverNode(ProtocolNode):
         """Check ``ft + 1`` distinct target voters vouch for the result."""
         spec = self.topology.spec(target)
         # Every calling driver receives the same decoded bundle object, so
-        # the vouched-for bytes are recomputed once per bundle, not per
-        # driver.
-        data = _BUNDLE_AUTH_BYTES.get(
-            bundle, lambda b: reply_auth_bytes(b.request_id, b.result)
+        # the vouched-for bytes are recomputed and hashed once per bundle,
+        # not per driver and voucher.
+        data_digest = _BUNDLE_AUTH_DIGESTS.get(
+            # analysis: allow(WIRE002) — the MAC input of every voucher,
+            # memoized per bundle object
+            bundle, lambda b: digest(reply_auth_bytes(b.request_id, b.result))
         )
         factory = self._channel.auth_factory
         vouching = set()
@@ -402,7 +405,7 @@ class DriverNode(ProtocolNode):
                 continue
             if auth.sender != voter_name(target, voter_index):
                 continue
-            if factory.verify(data, auth):
+            if factory.verify_prehashed(data_digest, auth):
                 vouching.add(voter_index)
         return len(vouching) >= spec.f + 1
 

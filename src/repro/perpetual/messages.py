@@ -43,9 +43,10 @@ class OutRequest:
     """Stage 1: one calling driver's copy of an outgoing request.
 
     The authenticator on the carrying envelope covers *all* target voters,
-    so the target primary can embed ``fc + 1`` matching envelopes in the
-    agreement item as proof the calling service issued the request, and
-    every target voter can verify its own MAC entry in each.
+    so the target primary can put ``fc + 1`` matching copies in the
+    agreement item (see :func:`request_item`) as proof the calling service
+    issued the request, and every target voter can verify its own MAC
+    entry in each.
 
     ``responder_index`` designates the target voter that will bundle the
     replies (stage 6); the caller rotates it deterministically so retries
@@ -170,14 +171,21 @@ class AgreedEvent:
 # ---------------------------------------------------------------------------
 
 
-def request_item(out_request_wire: Any, proof: list) -> ClientRequest:
-    """Agreement item for an external request (submitted by the target
-    primary with the ``fc + 1`` supporting envelopes as proof)."""
-    request_id = _wire_request_id(out_request_wire)
+def request_item(request_id: RequestId, payloads: list, proof: list) -> ClientRequest:
+    """Agreement item for an external request (stage 2).
+
+    Submitted by the target primary once ``fc + 1`` matching stage-1
+    copies arrived. ``payloads`` holds each distinct copy once, as the
+    exact bytes the calling drivers MAC'd (in the fault-free case every
+    copy is byte-identical, so there is one); ``proof`` holds one
+    ``[payload index, wire authenticator]`` entry per supporting copy.
+    Every target voter verifies its own MAC entry of each authenticator
+    over the referenced payload, so the body crosses agreement once.
+    """
     return ClientRequest(
         client=f"{ITEM_REQUEST}/{request_id}",
         timestamp=0,
-        op={"kind": ITEM_REQUEST, "request": out_request_wire, "proof": proof},
+        op={"kind": ITEM_REQUEST, "payloads": payloads, "proof": proof},
     )
 
 
@@ -235,9 +243,3 @@ def item_kind(request: ClientRequest) -> str:
         return op.get("kind", "")
     return ""
 
-
-def _wire_request_id(out_request_wire: Any) -> Any:
-    """Extract the request id from a wire-form OutRequest dict."""
-    if isinstance(out_request_wire, dict) and "v" in out_request_wire:
-        return out_request_wire["v"].get("request_id")
-    return out_request_wire

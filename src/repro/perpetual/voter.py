@@ -8,8 +8,9 @@ One voter runs per service replica, co-located with that replica's driver
   the service's own out-calls (stage 8), agreed utility values, and
   deterministic abort decisions;
 - collects stage-1 request copies from calling drivers and, when primary,
-  starts agreement once ``fc + 1`` matching copies arrived — the embedded
-  envelope proof lets every backup re-verify this before preparing;
+  starts agreement once ``fc + 1`` matching copies arrived — the item
+  carries each distinct copy's bytes once plus every copy's
+  authenticator, so every backup re-verifies this before preparing;
 - forwards the local executor's replies to the designated responder
   (stage 5) and, when acting as responder, bundles ``ft + 1`` matching
   replies for the calling drivers (stage 6);
@@ -35,15 +36,14 @@ from repro.clbft.messages import (
     PrePrepare,
     decode_message,
     encode_message,
-    message_from_wire,
-    message_to_wire,
 )
 from repro.clbft.replica import VIEW_CHANGE_TIMER, ClbftReplica
 from repro.common.encoding import IdentityMemo, wire_blob
+from repro.common.errors import ProtocolError
 from repro.common.ids import RequestId
 from repro.common.metrics import METRICS
 from repro.crypto.cost import CryptoCostModel, MAC_COST_MODEL
-from repro.crypto.digest import digest_hex
+from repro.crypto.digest import digest, digest_hex
 from repro.crypto.keys import KeyStore
 from repro.perpetual.messages import (
     ITEM_ABORT,
@@ -72,9 +72,8 @@ from repro.transport.connection import SimConnection
 from repro.transport.wire import (
     BatchEnvelope,
     WireEnvelope,
+    auth_from_wire,
     auth_to_wire,
-    envelope_from_wire,
-    envelope_to_wire,
 )
 
 # Simulated epoch so agreed clock values resemble wall-clock milliseconds
@@ -107,7 +106,14 @@ def principal_index(name: str) -> int | None:
 # messages are immutable once constructed.
 _REQUEST_KEYS = IdentityMemo()
 _SUBMISSION_KEYS = IdentityMemo()
+_FORWARD_KEYS = IdentityMemo()
 _ITEM_RESULT_KEYS = IdentityMemo()
+# Stage-2 item payloads: the backups that share one decoded pre-prepare
+# decode and digest each carried payload once, whatever the number of
+# backups and proof entries; the primary seeds the decode memo with the
+# copy it already holds.
+_PAYLOAD_REQUESTS = IdentityMemo()
+_PAYLOAD_DIGESTS = IdentityMemo()
 
 
 def request_match_key(req: OutRequest) -> str:
@@ -136,6 +142,41 @@ def result_match_key(request_id: RequestId, result: Any, aborted: bool) -> str:
     # (submission_match_key, reply-store dedup).
     # analysis: allow(WIRE001, WIRE002)
     return digest_hex(encode_message(("result", request_id, result, aborted)))
+
+
+def _decode_request(payload: bytes) -> OutRequest | None:
+    try:
+        # analysis: allow(WIRE001) — an item payload arrives inside an
+        # agreement message, not through a channel, so there is no
+        # accept() memo to share; memoized per payload object instead
+        request = decode_message(payload)
+    except ProtocolError:
+        return None
+    return request if isinstance(request, OutRequest) else None
+
+
+def payload_request(payload: Any) -> OutRequest | None:
+    """The stage-1 request a stage-2 item payload carries, decoded once
+    per payload object; ``None`` unless it is bytes holding an
+    :class:`OutRequest`."""
+    if type(payload) is not bytes:
+        return None
+    return _PAYLOAD_REQUESTS.get(payload, _decode_request)
+
+
+def payload_digest(payload: bytes) -> bytes:
+    """Digest the proof entries of a stage-2 item verify against,
+    computed once per payload object."""
+    # analysis: allow(WIRE002) — the MAC input of every proof entry that
+    # references this payload; memoized per payload object
+    return _PAYLOAD_DIGESTS.get(payload, digest)
+
+
+def forward_match_key(forward: ReplyForward) -> str:
+    """Match key of a stage-5 reply forward, computed once per message."""
+    return _FORWARD_KEYS.get(
+        forward, lambda f: result_match_key(f.request_id, f.result, False)
+    )
 
 
 def submission_match_key(msg: ResultSubmission) -> str:
@@ -434,12 +475,17 @@ class VoterNode(ProtocolNode):
         needed = caller_spec.f + 1
         if len(copies) < needed:
             return
-        proof = [
-            envelope_to_wire(env_)
-            for env_, _ in list(copies.values())[:needed]
-        ]
-        wire_req = message_to_wire(sample)
-        self.replica.submit(request_item(wire_req, proof))
+        # Each distinct payload travels once; matching copies that differ
+        # only in attempt/responder_index (retransmissions) each travel.
+        payloads: list[bytes] = []
+        proof = []
+        for envelope, req in list(copies.values())[:needed]:
+            payload = envelope.payload
+            if payload not in payloads:
+                payloads.append(payload)
+                _PAYLOAD_REQUESTS.get(payload, lambda _, r=req: r)
+            proof.append([payloads.index(payload), auth_to_wire(envelope.auth)])
+        self.replica.submit(request_item(sample.request_id, payloads, proof))
 
     def _on_clbft_new_view(self, new_view: int) -> None:
         """Entering a view: if now primary, propose every request whose
@@ -450,40 +496,56 @@ class VoterNode(ProtocolNode):
                 self._maybe_submit_external(key)
 
     def _validate_request_item(self, item: ClientRequest) -> bool:
-        """Hard validity of a stage-2 agreement item (proof of fc+1 copies)."""
-        op = item.op
-        try:
-            agreed_req = message_from_wire(op["request"])
-            proof = [envelope_from_wire(p) for p in op["proof"]]
-        except Exception:
+        """Hard validity of a stage-2 agreement item (proof of fc+1 copies).
+
+        Every payload is an :class:`OutRequest` for this service and all
+        share one match key; every payload is referenced by a proof
+        entry; every entry's authenticator is a calling driver's and its
+        MAC for this voter verifies over the referenced payload; and at
+        least ``fc + 1`` distinct drivers vouch.
+        """
+        payloads = item.op.get("payloads")
+        proof = item.op.get("proof")
+        if type(payloads) is not list or not payloads or type(proof) is not list:
             return False
-        if not isinstance(agreed_req, OutRequest):
+        requests = [payload_request(payload) for payload in payloads]
+        if None in requests:
             return False
+        agreed_req = requests[0]
         if str(agreed_req.target) != self.service:
             return False
-        caller_spec = self.topology.spec_or_none(str(agreed_req.caller))
+        caller = str(agreed_req.caller)
+        caller_spec = self.topology.spec_or_none(caller)
         if caller_spec is None or len(proof) < caller_spec.f + 1:
             return False
         expected_key = request_match_key(agreed_req)
+        if any(request_match_key(req) != expected_key for req in requests[1:]):
+            return False
         verifier = self._channel.auth_factory
+        referenced = set()
         senders = set()
-        for envelope in proof:
-            if not verifier.verify(envelope.payload, envelope.auth):
+        for entry in proof:
+            try:
+                index, wire_auth = entry
+                auth = auth_from_wire(wire_auth)
+                sender = auth.sender
+                if (
+                    type(index) is not int
+                    or not 0 <= index < len(payloads)
+                    or type(sender) is not str
+                    or not verifier.verify_prehashed(
+                        payload_digest(payloads[index]), auth
+                    )
+                ):
+                    return False
+            except (TypeError, ValueError):
+                return False  # a malformed entry (or MAC tag) from the primary
+            driver = principal_index(sender)
+            if driver is None or sender != driver_name(caller, driver):
                 return False
-            # analysis: allow(WIRE001) — embedded-proof verification:
-            # these envelopes arrive *inside* an agreement payload, not
-            # through a channel, so there is no accept() memo to share
-            copy = decode_message(envelope.payload)
-            if not isinstance(copy, OutRequest):
-                return False
-            if request_match_key(copy) != expected_key:
-                return False
-            sender = envelope.auth.sender
-            index = principal_index(sender)
-            if index is None or sender != driver_name(str(copy.caller), index):
-                return False
+            referenced.add(index)
             senders.add(sender)
-        return len(senders) >= caller_spec.f + 1
+        return len(referenced) == len(payloads) and len(senders) >= caller_spec.f + 1
 
     # ------------------------------------------------------------------
     # Stage 4-6: local results, reply forwarding, responder duty
@@ -546,8 +608,7 @@ class VoterNode(ProtocolNode):
         spec = self.topology.spec(self.service)
         by_value: dict[str, list[ReplyForward]] = {}
         for fwd in collected.values():
-            key = result_match_key(request_id, fwd.result, False)
-            by_value.setdefault(key, []).append(fwd)
+            by_value.setdefault(forward_match_key(fwd), []).append(fwd)
         for matching in by_value.values():
             if len(matching) >= spec.f + 1:
                 bundle = ReplyBundle(
@@ -711,7 +772,8 @@ class VoterNode(ProtocolNode):
         return None
 
     def _deliver_request(self, seqno: int, item: ClientRequest) -> Any:
-        req = message_from_wire(item.op["request"])
+        # The agreed request is a copy a calling driver authenticated.
+        req = payload_request(item.op["payloads"][0])
         self._incoming_meta[req.request_id] = req
         self._gc_seqnos[req.request_id] = seqno
         self._request_copies.pop(request_match_key(req), None)

@@ -131,7 +131,7 @@ class ChannelAdapter:
 
         The Perpetual stage-1 fast path signs a request for every target
         voter while transmitting only to the primary, so the primary can
-        embed the envelope as proof every voter can verify. ``message``
+        carry its authenticator as proof every voter can verify. ``message``
         may be a pre-encoded :class:`~repro.common.encoding.WireBlob`;
         plain messages are encoded exactly once, into a blob.
 

@@ -142,14 +142,15 @@ class BatchEnvelope:
 
 
 def envelope_to_wire(envelope: WireEnvelope | BatchEnvelope) -> list:
-    """Flatten an envelope so it can ride *inside* another message.
+    """Flatten an envelope into canonically encodable structures.
 
-    Perpetual embeds the ``fc + 1`` matching caller request envelopes in
-    the agreement payload as proof that the calling service really issued
-    the request; every target voter re-verifies its own MAC entry in each
-    embedded envelope. Batch envelopes flatten recursively. This is the
-    form *inside* messages; a transport hop carries
-    :func:`envelope_to_bytes` instead.
+    The JSON reference form the tests compare :func:`envelope_to_bytes`
+    against; batch envelopes flatten recursively. No protocol message
+    embeds an envelope: a stage-2 request item carries the stage-1
+    payload bytes once plus :func:`auth_to_wire` authenticators (see
+    :func:`repro.perpetual.messages.request_item`), and a transport hop
+    carries :func:`envelope_to_bytes`. WIRE001 keeps calls inside
+    ``transport/``.
     """
     if type(envelope) is BatchEnvelope:
         return [
@@ -191,8 +192,7 @@ def envelope_from_wire(data: list) -> WireEnvelope | BatchEnvelope:
 #     entry    = u16(len name) name u16(len tag) tag
 #
 # Payloads and MAC tags travel raw, names as UTF-8. The JSON form above
-# stays the one that rides *inside* messages (stage-1 proofs) and the
-# reference the tests compare this one against.
+# is the reference the tests compare this one against.
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")

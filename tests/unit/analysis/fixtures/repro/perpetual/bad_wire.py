@@ -9,7 +9,9 @@ from repro.crypto.digest import digest, digest_hex
 from repro.transport.wire import (
     WireEnvelope,
     envelope_from_bytes,
+    envelope_from_wire,
     envelope_to_bytes,
+    envelope_to_wire,
 )
 
 
@@ -27,6 +29,14 @@ def hop_frame(envelope):
 
 def hop_parse(data):
     return envelope_from_bytes(data, 0)  # expect: WIRE001
+
+
+def embed_proof(envelopes):
+    return [envelope_to_wire(e) for e in envelopes]  # expect: WIRE001
+
+
+def unembed_proof(proof):
+    return [envelope_from_wire(p) for p in proof]  # expect: WIRE001
 
 
 def proof_digest(payload):

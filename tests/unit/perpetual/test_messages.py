@@ -1,6 +1,6 @@
 """Unit tests for Perpetual agreement-item construction and matching."""
 
-from repro.clbft.messages import message_to_wire
+from repro.clbft.messages import encode_message
 from repro.common.ids import RequestId, ServiceId
 from repro.perpetual.messages import (
     ITEM_ABORT,
@@ -33,13 +33,20 @@ def out_request(responder=0, attempt=0, payload=b"x"):
 
 class TestItemIdentity:
     def test_request_item_identity_stable(self):
-        wire = message_to_wire(out_request())
-        a = request_item(wire, proof=[])
-        b = request_item(wire, proof=[["other", "proof"]])
+        first = encode_message(out_request())
+        retry = encode_message(out_request(responder=1, attempt=1))
+        a = request_item(RID, [first], proof=[])
+        b = request_item(RID, [first, retry], proof=[[1, ["other", []]]])
         # Same request -> same (client, timestamp) identity even with a
-        # different proof set: CLBFT dedup applies.
+        # different payload and proof set: CLBFT dedup applies.
         assert (a.client, a.timestamp) == (b.client, b.timestamp)
+        assert a.client == f"{ITEM_REQUEST}/{RID}"
         assert item_kind(a) == ITEM_REQUEST
+        assert b.op == {
+            "kind": ITEM_REQUEST,
+            "payloads": [first, retry],
+            "proof": [[1, ["other", []]]],
+        }
 
     def test_result_item_identity_per_request(self):
         a = result_item(RID, b"r1")

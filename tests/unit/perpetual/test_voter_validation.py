@@ -6,8 +6,7 @@ result-echo quorums, utility deferral, and request-proof checking.
 
 import pytest
 
-from repro.clbft.messages import message_to_wire
-from repro.common.encoding import canonical_encode
+from repro.clbft.messages import encode_message
 from repro.common.ids import RequestId, ServiceId
 from repro.crypto.auth import AuthenticatorFactory
 from repro.crypto.keys import KeyStore
@@ -19,10 +18,15 @@ from repro.perpetual.messages import (
     result_item,
     utility_item,
 )
-from repro.perpetual.voter import VoterNode, result_match_key, voter_name
+from repro.perpetual.voter import (
+    VoterNode,
+    driver_name,
+    result_match_key,
+    voter_name,
+)
 from repro.sim.kernel import Simulator
 from repro.sim.network import UniformLatency
-from repro.transport.wire import WireEnvelope, envelope_to_wire
+from repro.transport.wire import auth_to_wire
 
 
 @pytest.fixture
@@ -43,6 +47,34 @@ def setup():
 
 
 RID = RequestId(ServiceId("svc"), 7)
+
+# Stage-2 request items: caller n=4 (fc = 1, so two vouching drivers).
+CALL_RID = RequestId(ServiceId("caller"), 1)
+AUDIENCE = [voter_name("svc", i) for i in range(4)]
+
+
+def stage1(attempt=0, payload=b"p", target="svc"):
+    """A calling driver's stage-1 payload: the bytes it MACs."""
+    return encode_message(
+        OutRequest(
+            request_id=CALL_RID,
+            caller=ServiceId("caller"),
+            target=ServiceId(target),
+            payload=payload,
+            responder_index=attempt % 4,
+            attempt=attempt,
+        )
+    )
+
+
+def vouch(keys, sender, payload, index=0):
+    """One proof entry: ``sender``'s authenticator over ``payload``."""
+    auth = AuthenticatorFactory(keys, sender).sign(payload, AUDIENCE)
+    return [index, auth_to_wire(auth)]
+
+
+def caller_driver(index):
+    return driver_name("caller", index)
 
 
 class TestResultValidation:
@@ -136,78 +168,135 @@ class TestBatchValidation:
         assert voter._validate_batch((item,)) == "defer"
 
     def test_request_item_with_valid_proof_accepts(self, setup):
-        topology, keys, __, voters = setup
-        voter = voters[1]
-        request = OutRequest(
-            request_id=RequestId(ServiceId("caller"), 1),
-            caller=ServiceId("caller"),
-            target=ServiceId("svc"),
-            payload=b"p",
-            responder_index=0,
-        )
-        payload = canonical_encode(message_to_wire(request))
-        audience = [voter_name("svc", i) for i in range(4)]
-        proof = []
-        for driver_index in (0, 1):  # fc + 1 = 2 matching copies
-            sender = f"caller/d{driver_index}"
-            auth = AuthenticatorFactory(keys, sender).sign(payload, audience)
-            proof.append(
-                envelope_to_wire(WireEnvelope(payload=payload, auth=auth))
-            )
-        item = request_item(message_to_wire(request), proof)
-        assert voter._validate_batch((item,)) == "accept"
+        __, keys, __, voters = setup
+        payload = stage1()
+        proof = [vouch(keys, caller_driver(i), payload) for i in (0, 1)]
+        item = request_item(CALL_RID, [payload], proof)
+        assert voters[1]._validate_batch((item,)) == "accept"
 
     def test_request_item_with_short_proof_rejects(self, setup):
-        topology, keys, __, voters = setup
-        voter = voters[1]
-        request = OutRequest(
-            request_id=RequestId(ServiceId("caller"), 1),
-            caller=ServiceId("caller"),
-            target=ServiceId("svc"),
-            payload=b"p",
-            responder_index=0,
-        )
-        payload = canonical_encode(message_to_wire(request))
-        audience = [voter_name("svc", i) for i in range(4)]
-        auth = AuthenticatorFactory(keys, "caller/d0").sign(payload, audience)
-        proof = [envelope_to_wire(WireEnvelope(payload=payload, auth=auth))]
-        item = request_item(message_to_wire(request), proof)
-        assert voter._validate_batch((item,)) == "reject"
+        __, keys, __, voters = setup
+        payload = stage1()
+        item = request_item(CALL_RID, [payload], [vouch(keys, caller_driver(0), payload)])
+        assert voters[1]._validate_batch((item,)) == "reject"
 
     def test_request_item_with_forged_macs_rejects(self, setup):
-        topology, __, __, voters = setup
-        voter = voters[1]
+        __, __, __, voters = setup
         forged_keys = KeyStore.for_deployment("not-the-deployment")
-        request = OutRequest(
-            request_id=RequestId(ServiceId("caller"), 1),
-            caller=ServiceId("caller"),
-            target=ServiceId("svc"),
-            payload=b"p",
-            responder_index=0,
-        )
-        payload = canonical_encode(message_to_wire(request))
-        audience = [voter_name("svc", i) for i in range(4)]
-        proof = []
-        for driver_index in (0, 1):
-            sender = f"caller/d{driver_index}"
-            auth = AuthenticatorFactory(forged_keys, sender).sign(
-                payload, audience
-            )
-            proof.append(
-                envelope_to_wire(WireEnvelope(payload=payload, auth=auth))
-            )
-        item = request_item(message_to_wire(request), proof)
-        assert voter._validate_batch((item,)) == "reject"
+        payload = stage1()
+        proof = [vouch(forged_keys, caller_driver(i), payload) for i in (0, 1)]
+        item = request_item(CALL_RID, [payload], proof)
+        assert voters[1]._validate_batch((item,)) == "reject"
 
     def test_request_for_other_service_rejects(self, setup):
-        topology, keys, __, voters = setup
-        voter = voters[1]
-        request = OutRequest(
-            request_id=RequestId(ServiceId("caller"), 1),
-            caller=ServiceId("caller"),
-            target=ServiceId("elsewhere"),
-            payload=b"p",
-            responder_index=0,
-        )
-        item = request_item(message_to_wire(request), [])
-        assert voter._validate_batch((item,)) == "reject"
+        __, keys, __, voters = setup
+        payload = stage1(target="elsewhere")
+        proof = [vouch(keys, caller_driver(i), payload) for i in (0, 1)]
+        item = request_item(CALL_RID, [payload], proof)
+        assert voters[1]._validate_batch((item,)) == "reject"
+
+    def test_copies_of_two_attempts_travel_once_each_and_accept(self, setup):
+        __, keys, __, voters = setup
+        first, retry = stage1(attempt=0), stage1(attempt=1)
+        proof = [
+            vouch(keys, caller_driver(0), first, index=0),
+            vouch(keys, caller_driver(1), retry, index=1),
+        ]
+        item = request_item(CALL_RID, [first, retry], proof)
+        assert voters[1]._validate_batch((item,)) == "accept"
+
+    def test_proof_index_out_of_range_rejects(self, setup):
+        __, keys, __, voters = setup
+        payload = stage1()
+        proof = [
+            vouch(keys, caller_driver(0), payload),
+            vouch(keys, caller_driver(1), payload, index=1),
+        ]
+        item = request_item(CALL_RID, [payload], proof)
+        assert voters[1]._validate_batch((item,)) == "reject"
+
+    def test_unreferenced_payload_rejects(self, setup):
+        __, keys, __, voters = setup
+        payload, extra = stage1(attempt=0), stage1(attempt=1)
+        proof = [vouch(keys, caller_driver(i), payload) for i in (0, 1)]
+        item = request_item(CALL_RID, [payload, extra], proof)
+        assert voters[1]._validate_batch((item,)) == "reject"
+
+    def test_payloads_with_different_match_keys_reject(self, setup):
+        __, keys, __, voters = setup
+        a, b = stage1(payload=b"a"), stage1(payload=b"b")
+        proof = [
+            vouch(keys, caller_driver(0), a, index=0),
+            vouch(keys, caller_driver(1), b, index=1),
+        ]
+        item = request_item(CALL_RID, [a, b], proof)
+        assert voters[1]._validate_batch((item,)) == "reject"
+
+    def test_fc_plus_1_entries_from_one_driver_reject(self, setup):
+        __, keys, __, voters = setup
+        payload = stage1()
+        proof = [vouch(keys, caller_driver(0), payload) for _ in (0, 1)]
+        item = request_item(CALL_RID, [payload], proof)
+        assert voters[1]._validate_batch((item,)) == "reject"
+
+    def test_one_forged_entry_rejects(self, setup):
+        __, keys, __, voters = setup
+        forged_keys = KeyStore.for_deployment("not-the-deployment")
+        payload = stage1()
+        proof = [
+            vouch(keys, caller_driver(0), payload),
+            vouch(keys, caller_driver(1), payload),
+            vouch(forged_keys, caller_driver(2), payload),
+        ]
+        item = request_item(CALL_RID, [payload], proof)
+        assert voters[1]._validate_batch((item,)) == "reject"
+
+    def test_entry_from_a_non_caller_principal_rejects(self, setup):
+        __, keys, __, voters = setup
+        payload = stage1()
+        proof = [
+            vouch(keys, caller_driver(0), payload),
+            vouch(keys, voter_name("caller", 1), payload),
+        ]
+        item = request_item(CALL_RID, [payload], proof)
+        assert voters[1]._validate_batch((item,)) == "reject"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            encode_message(ResultSubmission(request_id=CALL_RID, result=b"r")),
+            b"not a canonical message",
+            "a string, not bytes",
+        ],
+        ids=["result-submission", "garbage-bytes", "str"],
+    )
+    def test_payload_that_is_not_an_out_request_rejects(self, setup, payload):
+        __, keys, __, voters = setup
+        signed = payload if isinstance(payload, bytes) else payload.encode()
+        proof = [vouch(keys, caller_driver(i), signed) for i in (0, 1)]
+        item = request_item(CALL_RID, [payload], proof)
+        assert voters[1]._validate_batch((item,)) == "reject"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[0], "entry", [0, "not-an-auth"], [0, ["caller/d1", [["svc/v1", "tag"]]]]],
+        ids=["short", "str", "bad-auth", "str-tag"],
+    )
+    def test_malformed_proof_entry_rejects(self, setup, entry):
+        __, keys, __, voters = setup
+        payload = stage1()
+        proof = [vouch(keys, caller_driver(0), payload), entry]
+        item = request_item(CALL_RID, [payload], proof)
+        assert voters[1]._validate_batch((item,)) == "reject"
+
+    def test_delivery_executes_the_first_authenticated_payload(self, setup):
+        __, keys, __, voters = setup
+        first, retry = stage1(attempt=0), stage1(attempt=1)
+        proof = [
+            vouch(keys, caller_driver(0), first, index=0),
+            vouch(keys, caller_driver(1), retry, index=1),
+        ]
+        item = request_item(CALL_RID, [first, retry], proof)
+        voters[1]._deliver_request(1, item)
+        meta = voters[1]._incoming_meta[CALL_RID]
+        assert (meta.attempt, meta.responder_index) == (0, 0)
