@@ -60,9 +60,9 @@ class Metrics:
     #: group (they travel the nested-invocation path across groups).
     cross_group_calls: int = 0
     #: Invocations of :func:`repro.common.encoding.clear_wire_caches`.
-    #: Every worker start path (process spawn, tcp rendezvous) must
-    #: clear the identity-keyed caches exactly once before decoding its
-    #: first frame; this counter makes that assertable end to end.
+    #: Every process worker must clear the identity-keyed caches exactly
+    #: once at start, before decoding its first frame; this counter makes
+    #: that assertable end to end.
     wire_cache_clears: int = 0
 
     def reset(self) -> None:

@@ -25,7 +25,6 @@ examples (one per figure, plus the scenario runner):
          python -m repro.experiments run --preset two-tier --dump > t.json
          python -m repro.experiments run --scenario t.json --runtime threaded
          python -m repro.experiments run --preset echo-parity --runtime asyncio
-         python -m repro.experiments run --preset sharded-echo --runtime process --transport tcp
 
 sharded presets (multi-group: consistent-hash or service_name routing;
 each group is an independent BFT worker set — see docs/scenarios.md):
@@ -129,17 +128,9 @@ def _run(args) -> None:
         print(spec.to_json(indent=2))
         return
 
-    runtime = args.runtime
-    if getattr(args, "transport", "pipe") != "pipe":
-        if args.runtime != "process":
-            raise SystemExit("run: --transport applies only to "
-                             "--runtime process")
-        from repro.scenario.process import ProcessRuntime
-
-        runtime = ProcessRuntime(transport=args.transport)
     print(f"scenario {spec.name!r} on runtime {args.runtime!r} ...",
           file=sys.stderr)
-    metrics = run_scenario(spec, runtime=runtime)
+    metrics = run_scenario(spec, runtime=args.runtime)
     print(f"scenario={metrics.scenario} runtime={metrics.runtime} "
           f"processes={metrics.processes} now_us={metrics.now_us}")
     for name, svc in sorted(metrics.services.items()):
@@ -197,11 +188,6 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--runtime", default="sim",
                             choices=("sim", "threaded", "process", "asyncio"),
                             help="substrate to execute on (default: sim)")
-    run_parser.add_argument("--transport", default="pipe",
-                            choices=("pipe", "tcp"),
-                            help="process-substrate worker rendezvous: "
-                            "duplex pipes or localhost TCP sockets "
-                            "(default: pipe)")
     run_parser.add_argument("--duration", type=float, default=None,
                             help="override the scenario's run budget")
     run_parser.add_argument("--dump", action="store_true",

@@ -10,7 +10,7 @@ network model, crypto cost model, and fault injections once, and any
 - ``threaded`` — one OS thread per protocol node, racy interleavings;
 - ``asyncio``  — every protocol node a task on one event loop;
 - ``process``  — one OS process per voter/driver pair, fused-codec
-  envelopes over pipes or localhost TCP (real parallelism).
+  envelopes over pipes (real parallelism).
 
 The first three share one deploy loop (:mod:`repro.scenario.local`).
 

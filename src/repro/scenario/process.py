@@ -36,22 +36,9 @@ Wiring:
   :meth:`ProcessRuntime.worker_errors` names it while the worker loop
   and the router keep serving: one Byzantine peer cannot crash a
   correct replica;
-- each worker bootstrap zeroes METRICS and then calls
-  :func:`repro.common.encoding.clear_wire_caches` before touching any
-  frame: the decode memos are keyed on object identity and must never
-  cross a process boundary (under the default ``fork`` start method the
-  parent's caches arrive in the child's memory otherwise). The clear
-  bumps the ``wire_cache_clears`` counter, so the summed worker stats
-  prove every start path ran the hook;
-- the ``transport`` knob selects how workers rendezvous with the
-  parent: ``"pipe"`` (the default — one duplex ``multiprocessing`` pipe
-  per worker) or ``"tcp"``, where the parent listens on an ephemeral
-  localhost port and every worker dials back and speaks the same frames
-  through the length-prefixed :class:`~repro.transport.socket_frame
-  .SocketConnection`. The router, egress writer, and worker loop are
-  byte-for-byte shared between the two — tcp is the off-box stepping
-  stone (swap ``127.0.0.1`` for real host addresses and the same
-  scenarios run across machines);
+- each worker zeroes the fork-inherited METRICS and clears the
+  identity-keyed decode memos before touching any frame (see
+  :func:`_worker_main`);
 - ``crash`` faults are expressed by never spawning the replica's worker:
   a crashed machine never speaks; ``byzantine``, ``delay``,
   ``partition``, and ``restart`` faults travel inside the spec JSON and
@@ -59,18 +46,17 @@ Wiring:
   worker's bootstrap. ``link`` faults parameterise the modelled network
   and are rejected (simulator-only).
 
-``run`` polls worker counters until they are stable over polls every
-live worker answered (quiescence) or the wall-clock budget elapses;
-``metrics`` performs one fresh poll so the
-numbers are current even after ``run`` returned early.
+``run`` stops at exact quiescence — two consecutive poll waves with the
+same counts in which every worker answered idle and every ``net`` frame
+count balances (:func:`closed_wave`; Mattern's four-counter method) — or
+when the wall-clock budget elapses. ``metrics`` performs one fresh poll
+so the numbers are current even after ``run`` returned early.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue
-import socket
 import threading
 import time
 from collections import deque
@@ -88,7 +74,6 @@ from repro.scenario.runtime import (
 )
 from repro.scenario.spec import ScenarioSpec
 from repro.sharding import build_router
-from repro.transport.socket_frame import FrameError, SocketConnection
 from repro.transport.wire import (
     BatchEnvelope,
     WireEnvelope,
@@ -100,8 +85,6 @@ from repro.transport.wire import (
 READY_TIMEOUT_S = 30.0
 #: Counter-poll cadence during run().
 POLL_INTERVAL_S = 0.15
-#: Consecutive identical counter snapshots that count as quiescence.
-QUIESCENT_POLLS = 3
 
 
 def _frame(*parts) -> bytes:
@@ -167,6 +150,10 @@ class _WorkerHost(NodeHost):
         super().__init__()
         self.conn = conn
         self.local: deque[tuple[str, str, object]] = deque()
+        #: ``net`` frames written to the parent / taken in from it: this
+        #: worker's half of the four counters :func:`closed_wave` balances.
+        self.frames_sent = 0
+        self.frames_received = 0
 
     def post(self, src: str, dst: str, msg) -> None:
         if dst in self.nodes:
@@ -179,6 +166,7 @@ class _WorkerHost(NodeHost):
                 f"got {type(msg).__name__} for {dst!r}"
             )
         self.conn.send_bytes(_net_frame(src, dst, msg))
+        self.frames_sent += 1
 
     def _deliver_local(self) -> None:
         local = self.local
@@ -211,10 +199,13 @@ class _WorkerHost(NodeHost):
                     frames.append(self.conn.recv_bytes())
                     if not self.conn.poll(0):
                         break
-            except (EOFError, OSError, FrameError):
+            except (EOFError, OSError):
                 return
             for data in frames:
                 if data.startswith(_NET):
+                    # Counted as it leaves the pipe: from here the frame
+                    # is in ``local`` (not idle) or handled.
+                    self.frames_received += 1
                     # The bytes are another principal's: a frame that
                     # does not parse is dropped and reported, never raised.
                     try:
@@ -242,25 +233,16 @@ class _WorkerHost(NodeHost):
             self._deliver_local()
 
 
-def _worker_main(
-    spec_json: str,
-    service: str,
-    index: int,
-    conn: Connection | None,
-    address: tuple[str, int] | None = None,
-) -> None:
+def _worker_main(spec_json: str, service: str, index: int, conn: Connection) -> None:
     """Bootstrap one voter/driver pair and serve its event loop.
 
-    On the tcp transport ``conn`` is ``None`` and the worker dials
-    ``address`` back to the parent's listener; the framed socket then
-    speaks the exact pipe protocol. Bootstrap order matters: zero the
-    fork-inherited METRICS first, then run :func:`clear_wire_caches` —
-    the documented process-start hook — before touching any frame.
-    Identity-keyed decode memos inherited over ``fork`` reference the
-    parent's object graph and must never serve lookups in the child;
-    clearing after the reset lets the hook's ``wire_cache_clears`` bump
-    survive into this worker's stats frames, which is how tests pin the
-    hook onto every start path.
+    Bootstrap order matters: zero the fork-inherited METRICS first, then
+    run :func:`clear_wire_caches` — the documented process-start hook —
+    before touching any frame. Identity-keyed decode memos inherited over
+    ``fork`` reference the parent's object graph and must never serve
+    lookups in the child; clearing after the reset lets the hook's
+    ``wire_cache_clears`` bump survive into this worker's stats frames,
+    which is how tests pin the hook onto every worker start.
     """
     from repro.common.metrics import METRICS
 
@@ -275,9 +257,6 @@ def _worker_main(
     from repro.perpetual.voter import driver_name, voter_name
     from repro.scenario.apps import build_app, scenario_cost_model
     from repro.ws.adapter import WsAdapter, collecting_executor_factory
-
-    if conn is None:
-        conn = SocketConnection(socket.create_connection(address))
 
     spec = ScenarioSpec.from_json(spec_json)
     decl = spec.service(service)
@@ -320,8 +299,9 @@ def _worker_main(
 
     def stats() -> dict:
         return {
-            "pid": os.getpid(),
-            "timers_armed": host.timers.armed_count(),
+            "idle": host.idle() and not host.local,
+            "frames_sent": host.frames_sent,
+            "frames_received": host.frames_received,
             "counters": METRICS.snapshot(),
             "errors": [repr(exc) for exc in host.errors()],
             **replica_snapshot(
@@ -330,7 +310,7 @@ def _worker_main(
             ),
         }
 
-    conn.send_bytes(_frame("ready", service, index))
+    conn.send_bytes(_frame("ready"))
     try:
         host.loop(stats)
     finally:
@@ -340,6 +320,29 @@ def _worker_main(
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
+
+
+def closed_wave(workers, answers, read, written, dropped):
+    """The counts of a closed poll wave, or ``None`` while it is open.
+
+    It closes when every one of ``workers`` answered the wave's poll
+    (``answers``), idle with no out-call in flight, and no ``net`` frame
+    is in a pipe from a worker (``frames_sent`` equals ``read``), in a
+    pipe to one (``written`` equals ``frames_received``) or queued in the
+    parent (every frame read was written or ``dropped``).
+    """
+    counts = []
+    for key in sorted(workers):
+        stats = answers.get(key)
+        if stats is None or not stats["idle"] or stats["in_flight"]:
+            return None
+        sent, received = stats["frames_sent"], stats["frames_received"]
+        if sent != read.get(key, 0) or written.get(key, 0) != received:
+            return None
+        counts.append((key, sent, received))
+    if sum(read.values()) != sum(written.values()) + dropped:
+        return None
+    return tuple(counts), dropped
 
 
 class ProcessRuntime(Runtime):
@@ -352,27 +355,29 @@ class ProcessRuntime(Runtime):
         poll_interval_s: float = POLL_INTERVAL_S,
         transport: str = "pipe",
     ) -> None:
-        if transport not in ("pipe", "tcp"):
+        # Workers speak to the parent over duplex pipes only; the keyword
+        # stays for callers that still name that transport.
+        if transport != "pipe":
             raise ConfigurationError(
-                f"unknown transport {transport!r} (known: pipe, tcp)"
+                f"unknown transport {transport!r} (the process substrate "
+                "runs over pipes only)"
             )
-        self.transport = transport
         self._poll_interval_s = poll_interval_s
         self._spec: ScenarioSpec | None = None
         self._procs: dict[tuple[str, int], multiprocessing.Process] = {}
         self._conns: dict[tuple[str, int], Connection] = {}
         self._alive: dict[Connection, tuple[str, int]] = {}
-        #: Workers that were spawned and must report ready. On the pipe
-        #: transport this mirrors ``self._conns`` (registered at spawn);
-        #: on tcp, connections only appear when workers dial back, so
-        #: readiness is tracked against the spawn set.
-        self._expected: set[tuple[str, int]] = set()
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
         self._stats: dict[tuple[str, int], dict] = {}
         self._stats_seq: dict[tuple[str, int], int] = {}
         #: Frames the router could not parse, by the worker that sent them.
         self._frame_errors: dict[tuple[str, int], list[str]] = {}
+        #: The parent's counters for :func:`closed_wave`: ``net`` frames
+        #: read from / written to each worker, and frames read but
+        #: dropped (no live destination, an unparsable header, a failed
+        #: write).
+        self._read: dict[tuple[str, int], int] = {}
+        self._written: dict[tuple[str, int], int] = {}
+        self._dropped = 0
         self._byes: set[tuple[str, int]] = set()
         self._ready: set[tuple[str, int]] = set()
         self._lock = threading.Lock()
@@ -427,15 +432,6 @@ class ProcessRuntime(Runtime):
         self._egress_thread = threading.Thread(target=self._drain_egress, daemon=True)
         self._router_thread.start()
         self._egress_thread.start()
-        if self.transport == "tcp":
-            # Ephemeral localhost rendezvous: workers dial back and their
-            # first frame (ready) identifies them to the acceptor.
-            self._listener = socket.create_server(("127.0.0.1", 0))
-            self._listener.settimeout(0.2)
-            self._accept_thread = threading.Thread(
-                target=self._accept, daemon=True
-            )
-            self._accept_thread.start()
         try:
             for decl in spec.all_services():
                 for index in range(decl.n):
@@ -446,9 +442,9 @@ class ProcessRuntime(Runtime):
             deadline = time.monotonic() + READY_TIMEOUT_S
             while time.monotonic() < deadline:
                 with self._lock:
-                    if self._ready == self._expected:
-                        break
-                    pending = self._expected - self._ready
+                    pending = set(self._conns) - self._ready
+                if not pending:
+                    break
                 # A worker that exits before reporting ready died during
                 # bootstrap: say so now, not READY_TIMEOUT_S later.
                 dead = sorted(
@@ -462,9 +458,8 @@ class ProcessRuntime(Runtime):
                     )
                 time.sleep(0.01)
             else:
-                missing = sorted(self._expected - self._ready)
                 raise ConfigurationError(
-                    f"workers never became ready: {missing}"
+                    f"workers never became ready: {sorted(pending)}"
                 )
         except BaseException:
             self.shutdown()
@@ -476,26 +471,7 @@ class ProcessRuntime(Runtime):
     def _start_worker(
         self, ctx, spec_json: str, service: str, index: int
     ) -> None:
-        """Spawn one replica's worker process and register its channel.
-
-        Pipe transport: the duplex pipe exists before the child does, so
-        the connection registers here. Tcp transport: the worker gets the
-        listener's address and the acceptor thread registers the
-        connection when the worker dials back with its ready frame.
-        """
-        if self.transport == "tcp":
-            address = self._listener.getsockname()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(spec_json, service, index, None, address),
-                daemon=True,
-                name=f"repro-{service}-{index}",
-            )
-            proc.start()
-            with self._lock:
-                self._procs[(service, index)] = proc
-                self._expected.add((service, index))
-            return
+        """Spawn one replica's worker process and register its pipe."""
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_main,
@@ -512,39 +488,6 @@ class ProcessRuntime(Runtime):
             self._procs[(service, index)] = proc
             self._conns[(service, index)] = parent_conn
             self._alive[parent_conn] = (service, index)
-            self._expected.add((service, index))
-
-    def _accept(self) -> None:
-        """Tcp transport only: register dial-back workers as they arrive.
-
-        The worker's first frame is its ready tuple — reading it here
-        (before the connection joins the router's alive set) doubles as
-        the identification handshake, so the router never has to treat a
-        half-known connection.
-        """
-        while not self._stopping.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            sock.settimeout(READY_TIMEOUT_S)
-            conn = SocketConnection(sock)
-            try:
-                hello = decode_payload(conn.recv_bytes())
-            except (EOFError, OSError, TimeoutError, FrameError):
-                conn.close()
-                continue
-            if hello[0] != "ready":
-                conn.close()
-                continue
-            sock.settimeout(None)
-            key = (hello[1], hello[2])
-            with self._lock:
-                self._conns[key] = conn
-                self._alive[conn] = key
-                self._ready.add(key)
 
     def worker_pids(self) -> list[int]:
         """PIDs of the worker processes (one per live voter/driver pair)."""
@@ -568,14 +511,11 @@ class ProcessRuntime(Runtime):
                 continue
             for conn in connection_wait(conns, timeout=0.1):
                 key = self._alive.get(conn)
-                # Drain every frame this wakeup made available: a framed
-                # socket read may decode several frames from one chunk,
-                # after which the fd is no longer readable — frames left
-                # in the decoder would otherwise never wake the selector.
+                # Drain every frame already waiting before the next wait().
                 while True:
                     try:
                         data = conn.recv_bytes()
-                    except (EOFError, OSError, FrameError):
+                    except (EOFError, OSError):
                         with self._lock:
                             self._alive.pop(conn, None)
                         break
@@ -595,11 +535,19 @@ class ProcessRuntime(Runtime):
     def _on_frame(self, key, conn, data: bytes) -> bool:
         """Forward or record one worker frame; True once it said bye."""
         if data.startswith(_NET):
-            # O(header) routing: the envelope bytes stay opaque.
-            _, dst, _ = _net_header(data)
-            owner = self._owner(dst)
-            if owner in self._conns and owner not in self._byes:
-                self._egress.put((owner, data))
+            owner = None
+            try:
+                # O(header) routing: the envelope bytes stay opaque.
+                owner = self._owner(_net_header(data)[1])
+            finally:
+                # Counted even when the header does not parse.
+                with self._lock:
+                    self._read[key] = self._read.get(key, 0) + 1
+                    routed = owner in self._conns and owner not in self._byes
+                    if not routed:
+                        self._dropped += 1
+                if routed:
+                    self._egress.put((owner, data))
             return False
         frame = decode_payload(data)
         kind = frame[0]
@@ -609,7 +557,7 @@ class ProcessRuntime(Runtime):
                 self._stats_seq[key] = self._stats_seq.get(key, 0) + 1
         elif kind == "ready":
             with self._lock:
-                self._ready.add((frame[1], frame[2]))
+                self._ready.add(key)
         elif kind == "bye":
             with self._lock:
                 self._byes.add(key)
@@ -624,13 +572,17 @@ class ProcessRuntime(Runtime):
             if item is None:
                 return
             key, data = item
-            conn = self._conns.get(key)
-            if conn is None:
-                continue
             try:
-                conn.send_bytes(data)
-            except (BrokenPipeError, OSError):
-                pass
+                self._conns[key].send_bytes(data)
+                written = True
+            except OSError:
+                written = False
+            if data.startswith(_NET):
+                with self._lock:
+                    if written:
+                        self._written[key] = self._written.get(key, 0) + 1
+                    else:
+                        self._dropped += 1
 
     def _broadcast(self, kind: str) -> None:
         data = _frame(kind)
@@ -643,9 +595,7 @@ class ProcessRuntime(Runtime):
     def run(self, until_s: float | None = None) -> None:
         budget = self._spec.duration_s if until_s is None else until_s
         deadline = time.monotonic() + budget
-        previous: dict | None = None
-        previous_seq: dict = {}
-        stable = 0
+        previous = None
         while time.monotonic() < deadline:
             # No worker exits before the stop broadcast: a dead process
             # here is a crash, and waiting out the budget on its frozen
@@ -656,45 +606,27 @@ class ProcessRuntime(Runtime):
             )
             if dead:
                 raise RuntimeError(f"worker processes died mid-run: {dead}")
+            with self._lock:
+                baseline = dict(self._stats_seq)
+            # ``go`` went out ahead of this poll on the same FIFO egress
+            # queue, so no answer predates a worker's on_start.
             self._broadcast("poll")
             time.sleep(self._poll_interval_s)
             with self._lock:
-                # "counters" is excluded from the stability comparison:
-                # serving the poll itself runs the wire codec, so the
-                # worker's METRICS snapshot moves on every poll and would
-                # keep an idle cluster looking busy forever.
-                snapshot = {
-                    key: {k: v for k, v in stats.items()
-                          if k not in ("pid", "counters")}
-                    for key, stats in self._stats.items()
-                }
                 # A worker busy in a handler answers no poll, and its
                 # last frame would repeat as if nothing were happening:
-                # a poll counts only if every live worker answered it.
-                answered = all(
-                    self._stats_seq.get(key, 0) > previous_seq.get(key, 0)
-                    for key in self._alive.values()
+                # only answers to this wave's poll count.
+                answers = {
+                    key: stats for key, stats in self._stats.items()
+                    if self._stats_seq[key] > baseline.get(key, 0)
+                }
+                wave = closed_wave(
+                    self._conns, answers, self._read, self._written,
+                    self._dropped,
                 )
-                previous_seq = dict(self._stats_seq)
-            complete = len(snapshot) == len(self._conns)
-            # Settled = counters stable over consecutive polls AND no
-            # worker reports in-flight out-calls or armed timers (a
-            # crashed primary idles the counters for seconds while view
-            # changes pend; TPC-W think times idle between self-scheduled
-            # events — neither is completion).
-            settled = complete and all(
-                stats.get("in_flight", 0) == 0
-                and stats.get("timers_armed", 0) == 0
-                for stats in snapshot.values()
-            )
-            if settled and answered and snapshot == previous:
-                stable += 1
-                warmed = time.monotonic() - self._epoch >= 1.0
-                if stable >= QUIESCENT_POLLS and warmed:
-                    return
-            else:
-                stable = 0
-            previous = snapshot
+            if wave is not None and wave == previous:
+                return
+            previous = wave
 
     # -- observation ---------------------------------------------------------
 
@@ -787,15 +719,6 @@ class ProcessRuntime(Runtime):
             self._router_thread.join(timeout=2.0)
         if self._egress_thread is not None:
             self._egress_thread.join(timeout=2.0)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-            self._accept_thread = None
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
         for conn in self._conns.values():
             try:
                 conn.close()

@@ -3,7 +3,9 @@
 Cross-substrate workload parity lives in the conformance matrix
 (``test_conformance.py``); this file keeps what is *specific* to one
 runtime — sim determinism, real OS-process parallelism, crash-fault
-observer fallback, fail-fast deploy validation, and runtime selection.
+observer fallback, fail-fast deploy validation, the process worker's
+bootstrap cache clear and frames far above the pipe buffer, the exact
+stop beside a stalled worker, and runtime selection.
 """
 
 import multiprocessing
@@ -20,6 +22,7 @@ from repro.scenario.process import ProcessRuntime
 from repro.scenario.runtime import get_runtime, run_scenario
 from repro.scenario.spec import FaultSpec, ScenarioBuilder
 from repro.ws.api import MessageContext, MessageHandler
+from tests.integration.conformance import run_on
 
 
 def test_sim_runtime_is_deterministic():
@@ -241,6 +244,54 @@ def test_process_run_waits_for_a_worker_stalled_in_a_handler(tmp_path):
         assert runtime.worker_errors() == {}
     finally:
         runtime.shutdown()
+
+
+def test_wire_caches_cleared_once_per_worker_start():
+    # 2 services x 4 replicas = 8 workers; each worker start must clear
+    # the identity-keyed caches exactly once, observed through summed
+    # worker counters — no monkeypatching of bootstrap internals.
+    spec = echo_parity_scenario(n=4, total_calls=3, name="wire-cache")
+    metrics = run_on(ProcessRuntime(poll_interval_s=0.05), spec, until_s=60)
+    assert metrics.processes == 8
+    assert metrics.counters["wire_cache_clears"] == 8
+    assert metrics.services["caller"].completed_calls == 3
+
+
+def test_frames_far_above_the_pipe_buffer_complete():
+    # A 256 KiB body makes every request, reply and pre-prepare (which
+    # carries the request body once, as the bytes the callers MAC'd) a
+    # frame four to six times the 64 KiB pipe buffer, three calls at
+    # once, multicast to four workers. The parent's router/egress split
+    # exists so that no write can block the reader that would drain it;
+    # this is the run that would deadlock without it. (Not 1 MiB: at
+    # that size one call costs more CPU than the 250 ms retransmission
+    # and 500 ms view-change timeouts allow on a loaded two-core host,
+    # and the run then measures those timeouts, not the frames.)
+    calls = 3
+    spec = (
+        ScenarioBuilder("big-frame")
+        .batching("off")
+        .service("target", n=4, app="echo")
+        .service(
+            "caller", n=1, app="async_caller", target="target",
+            total_calls=calls, window=calls, body={"blob": "x" * (256 << 10)},
+        )
+        .build()
+    )
+    # run_on asserts worker_errors() == {}.
+    metrics = run_on(ProcessRuntime(poll_interval_s=0.05), spec, until_s=60)
+    assert metrics.processes == 5
+    assert metrics.services["caller"].completed_calls == calls
+    assert metrics.services["caller"].aborted_calls == 0
+
+
+def test_unknown_transport_rejected():
+    from repro.common.errors import ConfigurationError
+
+    # Pipes are the one transport: "tcp" is refused like any made-up name.
+    for transport in ("tcp", "carrier-pigeon"):
+        with pytest.raises(ConfigurationError, match="transport"):
+            ProcessRuntime(transport=transport)
 
 
 def test_unknown_runtime_rejected():

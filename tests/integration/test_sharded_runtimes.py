@@ -165,10 +165,10 @@ class TestPartialStartupTeardown:
             pytest.skip("the patched worker entry point reaches children by fork")
         original = process._worker_main
 
-        def dying(spec_json, service, index, conn, address=None):
+        def dying(spec_json, service, index, conn):
             if (service, index) == ("g0-target", 2):
                 os._exit(3)
-            original(spec_json, service, index, conn, address)
+            original(spec_json, service, index, conn)
 
         monkeypatch.setattr(process, "_worker_main", dying)
         baseline_threads = threading.active_count()

@@ -6,6 +6,7 @@ real pipe whose far end the test holds. Two things are pinned: a hop
 hands the receiving node the envelope the sender posted (plain and
 batch), and a frame that does not parse is dropped and reported through
 ``worker_errors()`` while the worker loop and the router keep serving.
+The wave check that stops ``run`` is driven with hand-built counts.
 """
 
 import multiprocessing
@@ -22,6 +23,7 @@ from repro.scenario.process import (
     _WorkerHost,
     _net_frame,
     _net_header,
+    closed_wave,
 )
 from repro.sim.kernel import ProtocolNode
 from repro.transport.channel import ChannelAdapter
@@ -181,3 +183,101 @@ def test_router_survives_a_malformed_frame_and_names_its_sender():
         ours.close()
         theirs.close()
     assert not router.is_alive()
+
+
+A, B = ("target", 0), ("caller", 0)
+
+
+def quiet_wave(**changes):
+    """``closed_wave``'s arguments for two idle workers that exchanged
+    frames (A sent 3 and received 2, B sent 2 and received 3, one frame
+    dropped), each overridden by ``changes``."""
+    wave = {
+        "workers": [A, B],
+        "answers": {
+            A: {"idle": True, "in_flight": 0,
+                "frames_sent": 3, "frames_received": 2},
+            B: {"idle": True, "in_flight": 0,
+                "frames_sent": 2, "frames_received": 3},
+        },
+        "read": {A: 3, B: 2},
+        "written": {A: 2, B: 3},
+        "dropped": 0,
+    }
+    wave.update(changes)
+    return wave
+
+
+def answer(key, **fields):
+    answers = quiet_wave()["answers"]
+    answers[key] = dict(answers[key], **fields)
+    return answers
+
+
+def stops(*waves):
+    """What ``run`` decides over consecutive waves: True once two in a
+    row close with the same counts."""
+    previous = None
+    for wave in waves:
+        counts = closed_wave(**wave)
+        if counts is not None and counts == previous:
+            return True
+        previous = counts
+    return False
+
+
+def test_two_closed_identical_waves_stop_the_run():
+    assert closed_wave(**quiet_wave()) is not None
+    assert stops(quiet_wave(), quiet_wave())
+    # A dropped frame balances like a written one.
+    dropped = quiet_wave(read={A: 4, B: 2}, dropped=1,
+                         answers=answer(A, frames_sent=4))
+    assert stops(dropped, dropped)
+    # No workers at all (every replica crashed) is trivially quiet.
+    empty = quiet_wave(workers=[], answers={}, read={}, written={})
+    assert stops(empty, empty)
+
+
+OPEN_WAVES = {
+    # A sent its third frame, which the router has not read yet.
+    "in flight from a worker": quiet_wave(
+        read={A: 2, B: 2}, written={A: 2, B: 2},
+        answers=answer(B, frames_received=2),
+    ),
+    # The egress wrote a third frame to A, which A has not taken in.
+    "in flight to a worker": quiet_wave(
+        read={A: 3, B: 3}, written={A: 3, B: 3},
+        answers=answer(B, frames_sent=3),
+    ),
+    # Read but neither written nor dropped: queued in the parent.
+    "queued in the parent": quiet_wave(read={A: 4, B: 2},
+                                       answers=answer(A, frames_sent=4)),
+    "a worker not idle": quiet_wave(answers=answer(B, idle=False)),
+    "an out-call in flight": quiet_wave(answers=answer(A, in_flight=1)),
+    "a worker that did not answer": quiet_wave(
+        answers={B: quiet_wave()["answers"][B]}
+    ),
+}
+
+
+@pytest.mark.parametrize("wave", OPEN_WAVES.values(), ids=OPEN_WAVES.keys())
+def test_an_open_wave_keeps_the_run_going(wave):
+    assert closed_wave(**wave) is None
+    assert not stops(quiet_wave(), wave)
+    assert not stops(wave, quiet_wave())
+
+
+def test_a_count_that_moved_between_waves_keeps_the_run_going():
+    # Both waves close, but A and B exchanged a frame in between.
+    later = quiet_wave(
+        read={A: 4, B: 2}, written={A: 2, B: 4},
+        answers={
+            A: {"idle": True, "in_flight": 0,
+                "frames_sent": 4, "frames_received": 2},
+            B: {"idle": True, "in_flight": 0,
+                "frames_sent": 2, "frames_received": 4},
+        },
+    )
+    assert closed_wave(**later) is not None
+    assert not stops(quiet_wave(), later)
+    assert stops(quiet_wave(), later, later)

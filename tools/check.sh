@@ -27,7 +27,7 @@ if [ "$FAST" = 1 ]; then
     echo "== unit + property tests (fast mode) =="
     python -m pytest -x -q tests/unit tests/property
 else
-    echo "== tier-1 tests (soak + net excluded) =="
+    echo "== tier-1 tests (soak excluded) =="
     python -m pytest -x -q
     for w in echo_sync echo_window tpcw_chain payload_proc failover; do
         echo "== bench $w smoke (output checks must pass) =="
