@@ -8,7 +8,9 @@ of computation — and performs the active sides of Figure 1:
   target group was last reported to be in (view 0 until ``ft + 1`` of its
   voters say otherwise, see :class:`~repro.perpetual.messages.ViewHint`),
   authenticated for every target voter, with retransmission to the whole
-  target group (and deterministic responder rotation) on timeout;
+  target group (and responder rotation) on timeout; the responder and
+  the first-attempt recipient skip up to ``ft`` target voters this
+  driver suspects of being silent;
 - stage 4: hand the executor's replies to the co-located voter;
 - stage 7: verify reply bundles from target responders (``ft + 1``
   distinct voter MACs over the result) and echo the verified result to
@@ -117,10 +119,14 @@ class DriverNode(ProtocolNode):
         self._echoed: set[RequestId] = set()
         self._util_seq = 0
         # Target-group views: target -> {voter index: highest view it
-        # reported}, and the voter leading the view adopted from those
-        # reports (where first attempts go; absent = view 0's primary).
+        # reported}, and the index of the voter leading the view adopted
+        # from those reports (where first attempts go; absent = view 0's
+        # primary).
         self._view_reports: dict[str, dict[int, int]] = {}
-        self._target_primary: dict[str, str] = {}
+        self._target_primary: dict[str, int] = {}
+        # Target voters suspected of being unable to bundle, oldest
+        # first, at most ft per target: stage 1 routes around them.
+        self._suspects: dict[str, list[int]] = {}
 
         # Observability.
         self.completed_calls = 0
@@ -260,13 +266,12 @@ class DriverNode(ProtocolNode):
             METRICS.requests_routed += 1
             if self._router.forward(self._home_group, send.target).cross_group:
                 METRICS.cross_group_calls += 1
-        spec = self.topology.spec(send.target)
         request = OutRequest(
             request_id=request_id,
             caller=ServiceId(self.service),
             target=ServiceId(send.target),
             payload=send.payload,
-            responder_index=request_id.seqno % spec.n,
+            responder_index=self._unsuspected(send.target, request_id.seqno),
             attempt=0,
         )
         self._outstanding[request_id] = request
@@ -289,10 +294,41 @@ class DriverNode(ProtocolNode):
         spec = self.topology.spec(target)
         voters = [voter_name(target, i) for i in range(spec.n)]
         if to_all:
-            self._channel.multicast(voters, request)
+            self._channel.multicast_to(voters, voters, request)
         else:
-            primary = self._target_primary.get(target) or voter_name(target, 0)
-            self._channel.multicast_to(voters, [primary], request)
+            # A suspected primary is passed over for the next voter, which
+            # leads the next view or relays to whoever leads this one.
+            primary = self._target_primary.get(target, 0)
+            recipient = voters[self._unsuspected(target, primary)]
+            self._channel.multicast_to(voters, [recipient], request)
+
+    # ------------------------------------------------------------------
+    # Responder suspicion
+    # ------------------------------------------------------------------
+
+    def _unsuspected(self, target: str, start: int) -> int:
+        """The first target voter index from ``start`` (mod n) that this
+        driver does not suspect. At most ``ft < n`` are suspected."""
+        n = self.topology.spec(target).n
+        suspects = self._suspects.get(target, ())
+        index = start % n
+        while index in suspects:
+            index = (index + 1) % n
+        return index
+
+    def _suspect(self, target: str, index: int) -> None:
+        """Route around ``index`` until it shows up in a verified bundle.
+
+        Only the newest ``ft`` suspicions are kept, so no more than f
+        voters are ever skipped and a merely slow one returns to rotation.
+        """
+        suspects = self._suspects.setdefault(target, [])
+        if index in suspects:
+            suspects.remove(index)
+        suspects.append(index)
+        overflow = len(suspects) - self.topology.spec(target).f
+        if overflow > 0:
+            del suspects[:overflow]
 
     def _on_view_hint(self, sender: str, hint: ViewHint) -> None:
         """Follow a target group's view from its voters' reports.
@@ -302,7 +338,8 @@ class DriverNode(ProtocolNode):
         lying voter can neither push the choice up nor hold it back.
         Reports only rise, so the adopted view never falls. It only picks
         where first attempts go — a retransmission still reaches the whole
-        group — so a wrong guess costs one timeout.
+        group — so a wrong guess costs one timeout. The primary of the
+        view left behind failed to order: it becomes a suspect.
         """
         target = sender.rpartition("/")[0]
         spec = self.topology.spec_or_none(target)
@@ -322,9 +359,11 @@ class DriverNode(ProtocolNode):
         if len(reports) <= spec.f:
             return
         view = sorted(reports.values(), reverse=True)[spec.f]
-        self._target_primary[target] = voter_name(
-            target, GroupConfig(n=spec.n).primary_of(view)
-        )
+        primary = GroupConfig(n=spec.n).primary_of(view)
+        previous = self._target_primary.get(target, 0)
+        if primary != previous:
+            self._suspect(target, previous)
+        self._target_primary[target] = primary
 
     def _retransmit_delay_us(self, attempt: int) -> int:
         """Backoff schedule: truncated binary exponential with jitter.
@@ -350,13 +389,17 @@ class DriverNode(ProtocolNode):
             # retrying a dead or unreachable target forever.
             self._propose_abort(request_id)
             return
-        spec = self.topology.spec(str(request.target))
+        target = str(request.target)
+        # The responder let this call time out: suspect it, and rotate on.
+        self._suspect(target, request.responder_index)
         retried = OutRequest(
             request_id=request.request_id,
             caller=request.caller,
             target=request.target,
             payload=request.payload,
-            responder_index=(request.responder_index + 1) % spec.n,
+            responder_index=self._unsuspected(
+                target, request.responder_index + 1
+            ),
             attempt=attempt,
         )
         self._outstanding[request_id] = retried
@@ -376,16 +419,28 @@ class DriverNode(ProtocolNode):
         sender_index = principal_index(sender)
         if sender_index is None or sender != voter_name(target, sender_index):
             return
-        if not self._verify_bundle(target, bundle):
+        vouching = self._verify_bundle(target, bundle)
+        if not vouching:
             return
+        # Whoever sent or vouched for a verified bundle is alive. If the
+        # responder this driver named is not among them, another voter
+        # bundled the call: suspect the named one, as the driver whose
+        # retransmission timer fired on it already does.
+        alive = vouching | {sender_index}
+        if request.responder_index not in alive:
+            self._suspect(target, request.responder_index)
+        suspects = self._suspects.get(target)
+        if suspects:
+            suspects[:] = [i for i in suspects if i not in alive]
         self._echoed.add(bundle.request_id)
         submission = ResultSubmission(
             request_id=bundle.request_id, result=bundle.result
         )
         self._echo_submission(submission)
 
-    def _verify_bundle(self, target: str, bundle: ReplyBundle) -> bool:
-        """Check ``ft + 1`` distinct target voters vouch for the result."""
+    def _verify_bundle(self, target: str, bundle: ReplyBundle) -> set[int]:
+        """The ``ft + 1`` or more distinct target voters whose vouchers for
+        the result verify; empty when there are fewer."""
         spec = self.topology.spec(target)
         # Every calling driver receives the same decoded bundle object, so
         # the vouched-for bytes are recomputed and hashed once per bundle,
@@ -407,7 +462,7 @@ class DriverNode(ProtocolNode):
                 continue
             if factory.verify_prehashed(data_digest, auth):
                 vouching.add(voter_index)
-        return len(vouching) >= spec.f + 1
+        return vouching if len(vouching) > spec.f else set()
 
     def _echo_submission(self, submission: ResultSubmission) -> None:
         """Echo a verified (or timed-out) result to every calling voter."""

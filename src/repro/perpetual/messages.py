@@ -49,8 +49,11 @@ class OutRequest:
     entry in each.
 
     ``responder_index`` designates the target voter that will bundle the
-    replies (stage 6); the caller rotates it deterministically so retries
-    of a request route around a faulty responder.
+    replies (stage 6); the caller rotates it with the sequence number,
+    skipping voters it suspects of being silent, so retries of a request
+    and later requests route around a faulty responder. Calling drivers
+    may name different responders for one request: the index is not part
+    of the match key.
     """
 
     KIND: ClassVar[str] = "perp-out-request"

@@ -18,10 +18,13 @@ unreplicated client). It:
 
 Batching semantics (the sanctioned batch path the WIRE rules recognise):
 
-- a message whose signing ``audience`` exceeds its ``recipients`` (the
-  stage-1 proof path) is signed for the full audience immediately and
-  rides as an embedded ``("e", envelope)`` item, still individually
-  verifiable by principals outside the pair;
+- a message sent with :meth:`ChannelAdapter.multicast_to` (the stage-1
+  proof path) is signed for its full audience immediately and rides as
+  an embedded ``("e", envelope)`` item, still individually verifiable
+  by principals outside the pair — also when the audience *is* the
+  recipient list (a stage-1 retransmission to the whole target group),
+  because the receiving voter relays the envelope and carries its
+  authenticator into the stage-2 proof;
 - a message alone in every destination's batch flushes as a classic
   shared :class:`WireEnvelope` — batching never pessimises singletons;
 - everything else becomes a plain ``("p", payload)`` item covered only
@@ -120,41 +123,42 @@ class ChannelAdapter:
 
         The authenticator carries one MAC entry per destination; each
         receiver verifies only its own entry. Signing cost is charged
-        once, with the per-receiver increment from the cost model.
+        once, with the per-receiver increment from the cost model. With
+        batching enabled, signing is deferred to :meth:`flush`, where the
+        batch MAC covers the message unless it travels alone.
         """
-        self.multicast_to(dsts, dsts, message)
+        self._post(dsts, dsts, message, relayable=False)
 
     def multicast_to(
         self, audience: list[Any], recipients: list[Any], message: Any
     ) -> None:
         """Authenticate for ``audience`` but transmit only to ``recipients``.
 
-        The Perpetual stage-1 fast path signs a request for every target
-        voter while transmitting only to the primary, so the primary can
-        carry its authenticator as proof every voter can verify. ``message``
-        may be a pre-encoded :class:`~repro.common.encoding.WireBlob`;
-        plain messages are encoded exactly once, into a blob.
+        The Perpetual stage-1 path signs a request for every target voter
+        while transmitting only to the primary (or, on retransmission, to
+        the whole group), so a receiving voter can relay it and carry its
+        authenticator as proof every voter can verify. ``message`` may be
+        a pre-encoded :class:`~repro.common.encoding.WireBlob`; plain
+        messages are encoded exactly once, into a blob.
 
-        With batching enabled the message is buffered until
-        :meth:`flush`; proof-path messages (audience beyond recipients)
-        are signed now so the embedded envelope stays full-audience.
+        The proof path is explicit, not inferred from the address lists:
+        even with batching enabled the message is signed now, so the
+        embedded envelope keeps its full-audience authenticator.
         """
+        self._post(audience, recipients, message, relayable=True)
+
+    def _post(
+        self,
+        audience: list[Any],
+        recipients: list[Any],
+        message: Any,
+        relayable: bool,
+    ) -> None:
         if not recipients:
             return
         blob = wire_blob(message, self._encode)
         METRICS.multicasts += 1
-        if not self._buffering:
-            self._charge(self._cost.authenticator_cost_us(len(audience)))
-            auth = self._auth.sign(blob, list(audience))
-            envelope = WireEnvelope(payload=blob.data, auth=auth)
-            transmit = self._connection.transmit
-            for dst in recipients:
-                self._charge(self._wire_cpu_us)
-                transmit(dst, envelope)
-                METRICS.envelopes_sent += 1
-            self.sent_count += len(recipients)
-            return
-        if audience is recipients or list(audience) == list(recipients):
+        if self._buffering and not relayable:
             # Signing deferred to flush: covered by the batch MAC unless
             # the message turns out to travel alone.
             self._pending.append(["p", blob, list(recipients)])
@@ -162,6 +166,14 @@ class ChannelAdapter:
             self._charge(self._cost.authenticator_cost_us(len(audience)))
             auth = self._auth.sign(blob, list(audience))
             envelope = WireEnvelope(payload=blob.data, auth=auth)
+            if not self._buffering:
+                transmit = self._connection.transmit
+                for dst in recipients:
+                    self._charge(self._wire_cpu_us)
+                    transmit(dst, envelope)
+                    METRICS.envelopes_sent += 1
+                self.sent_count += len(recipients)
+                return
             self._pending.append(["e", envelope, list(recipients)])
         if len(self._pending) == 1 and self._on_first_pending is not None:
             self._on_first_pending()

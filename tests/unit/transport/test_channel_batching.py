@@ -173,6 +173,24 @@ class TestSingletonAndProofPaths:
         outsider = ChannelAdapter("v2", keys, CapturingConnection())
         assert outsider.accept(embedded) == {"op": "out-request"}
 
+    def test_whole_group_proof_path_item_stays_relayable(self, keys):
+        # Stage-1 retransmission shape: signed for and sent to every
+        # voter. v0's copy rides a batch; relayed on, it must still
+        # verify at the other voters, whose entries the proof carries.
+        channel, conn = make_channel(keys, batching="tick")
+        voters = ["v0", "v1", "v2"]
+        channel.multicast_to(voters, voters, {"op": "out-request"})
+        channel.send("v0", {"op": "filler"})
+        channel.flush()
+        batch = next(env for dst, env in conn.transmitted if dst == "v0")
+        assert isinstance(batch, BatchEnvelope)
+        assert [kind for kind, _ in batch.items] == ["e", "p"]
+        receiver = ChannelAdapter("v0", keys, CapturingConnection())
+        relayed = receiver.open_batch(batch)[0]
+        for name in voters:
+            voter = ChannelAdapter(name, keys, CapturingConnection())
+            assert voter.accept(relayed) == {"op": "out-request"}
+
     def test_mixed_batch_preserves_send_order(self, keys):
         channel, conn = make_channel(keys, batching="tick")
         channel.send("v0", {"seq": 0})
