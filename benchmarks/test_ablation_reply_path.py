@@ -47,8 +47,7 @@ def test_saving_grows_quadratically(rows):
 def test_live_reply_path_message_count():
     """Measured: stage 5-6 traffic in a live 4x4 run matches the formula's
     order (nt + nc, not nt * nc)."""
-    from repro.clbft.messages import message_from_wire
-    from repro.common.encoding import decode_payload
+    from repro.clbft.messages import decode_message
     from repro.perpetual.messages import ReplyBundle, ReplyForward
     from repro.transport.wire import WireEnvelope
     from repro.scenario.sim import Deployment
@@ -67,7 +66,7 @@ def test_live_reply_path_message_count():
     def counting_post(src, dst, msg, size_bytes):
         if isinstance(msg, WireEnvelope):
             try:
-                decoded = message_from_wire(decode_payload(msg.payload))
+                decoded = decode_message(msg.payload)
             except Exception:
                 decoded = None
             if isinstance(decoded, (ReplyForward, ReplyBundle)):

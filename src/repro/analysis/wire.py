@@ -1,6 +1,6 @@
 """Wire-contract rules: encode once, digest once, sign through the channel.
 
-PR 1 made the fused codec + :class:`~repro.common.encoding.WireBlob` the
+The canonical codec + :class:`~repro.common.encoding.WireBlob` are the
 single serialisation boundary: a multicast encodes its payload exactly
 once and digests it exactly once, which the METRICS counters can only
 *observe* at runtime. These rules make the contract structural — protocol
@@ -70,7 +70,7 @@ _CODEC_NAMES = frozenset(
 
 _HOP_CODEC_NAMES = frozenset(("envelope_to_bytes", "envelope_from_bytes"))
 
-#: The JSON envelope form: transport/ keeps it, but no protocol message
+#: The plain-data envelope form: transport/ keeps it, but no protocol message
 #: embeds an envelope — a stage-2 item carries payload bytes and
 #: authenticators, never a whole envelope.
 EMBED_CODEC_MODULES = (
@@ -117,7 +117,7 @@ class DirectCodecRule(Rule):
         "the channel; inject codecs via the encode=/decode= parameters. "
         "The binary envelope form (envelope_to_bytes/envelope_from_bytes) "
         "is narrower still: transport/ and scenario/process.py only; the "
-        "JSON envelope form (envelope_to_wire/envelope_from_wire) is "
+        "plain-data envelope form (envelope_to_wire/envelope_from_wire) is "
         "transport/ only, so no message can embed an envelope."
     )
 
@@ -205,7 +205,7 @@ class EnvelopeConstructionRule(Rule):
         "An envelope built by hand bypasses ChannelAdapter.multicast_to "
         "— the only place the authenticator, the encode-once blob, and "
         "the cost model meet. Envelopes come from the channel (sending) "
-        "or the wire codec (decoding); anything else forges the fused "
+        "or the wire codec (decoding); anything else forges the "
         "codec's invariants. BatchEnvelope is held to the same rule: "
         "batches exist only on the sanctioned ChannelAdapter.flush / "
         "open_batch path, where the single batch MAC is computed and "

@@ -1,48 +1,33 @@
-"""CLBFT protocol messages and their wire codec.
+"""CLBFT protocol messages.
 
-Messages are frozen dataclasses; the codec converts them to and from the
-canonical-JSON-safe structures of :mod:`repro.common.encoding` so they can
-be MAC'd and shipped by the ChannelAdapter. View-change and new-view
-messages embed other messages (checkpoint and prepared-certificate
-proofs), which the codec handles recursively.
+Messages are frozen dataclasses. :func:`register` adds each one to the
+canonical codec of :mod:`repro.common.encoding`, which encodes it as its
+``KIND`` followed by its fields in declared order, so it can be MAC'd and
+shipped by the ChannelAdapter. View-change and new-view messages embed
+other messages (checkpoint and prepared-certificate proofs), which the
+codec handles recursively. :func:`encode_message`/:func:`decode_message`
+are that codec under the names protocol code calls it by.
 """
 
 from __future__ import annotations
 
-from base64 import b64encode as _b64encode
 from dataclasses import dataclass, fields
-from json import dumps as _json_dumps, loads as _json_loads
-from json.encoder import encode_basestring_ascii as _escape_ascii
 from typing import Any, ClassVar
 
-from repro.common.encoding import _LEAF_ENCODERS, _TAG, _from_jsonable
-from repro.common.errors import ProtocolError
-from repro.common.metrics import METRICS
-
-_REGISTRY: dict[str, type] = {}
-
-# Per-class field-name tuples, resolved once (dataclasses.fields walks the
-# MRO on every call; the hot path asks per message).
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-
-
-def register(cls):
-    """Class decorator adding a message type to the codec registry."""
-    _REGISTRY[cls.KIND] = cls
-    _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
-    return cls
-
-
-def _field_names(cls: type) -> tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = tuple(f.name for f in fields(cls))
-        _FIELD_NAMES[cls] = names
-    return names
+from repro.common.encoding import (
+    canonical_encode as encode_message,
+    decode_payload as decode_message,
+    register_message as register,
+)
 
 
 def message_to_wire(msg: Any) -> Any:
-    """Recursively convert a message (or container of them) to plain data."""
+    """Recursively convert a message (or container of them) to plain data.
+
+    No protocol path uses this form; it remains only for the benchmark's
+    ``common.encode_us``/``common.decode_us``, which time the canonical
+    codec over it.
+    """
     if isinstance(msg, tuple):
         return {"__seq__": "tuple", "v": [message_to_wire(m) for m in msg]}
     if isinstance(msg, list):
@@ -52,293 +37,8 @@ def message_to_wire(msg: Any) -> Any:
     kind = getattr(msg, "KIND", None)
     if kind is None:
         return msg
-    body = {}
-    for name in _field_names(type(msg)):
-        body[name] = message_to_wire(getattr(msg, name))
+    body = {f.name: message_to_wire(getattr(msg, f.name)) for f in fields(msg)}
     return {"__msg__": kind, "v": body}
-
-
-def message_from_wire(data: Any) -> Any:
-    """Inverse of :func:`message_to_wire`."""
-    if isinstance(data, dict):
-        if "__msg__" in data:
-            kind = data["__msg__"]
-            cls = _REGISTRY.get(kind)
-            if cls is None:
-                raise ProtocolError(f"unknown message kind: {kind!r}")
-            body = {k: message_from_wire(v) for k, v in data["v"].items()}
-            return cls(**body)
-        if "__seq__" in data:
-            shape = data["__seq__"]
-            if shape == "tuple":
-                return tuple(message_from_wire(v) for v in data["v"])
-            if shape == "list":
-                return [message_from_wire(v) for v in data["v"]]
-            if shape == "dict":
-                return {k: message_from_wire(v) for k, v in data["v"].items()}
-            raise ProtocolError(f"unknown sequence shape: {shape!r}")
-        return {k: message_from_wire(v) for k, v in data.items()}
-    if isinstance(data, list):
-        return [message_from_wire(v) for v in data]
-    return data
-
-
-# ---------------------------------------------------------------------------
-# Fused wire codec (the hot path)
-# ---------------------------------------------------------------------------
-#
-# ``canonical_encode(message_to_wire(msg))`` walks the message tree twice
-# (message layer, then canonical layer) and its inverse walks twice again.
-# :func:`encode_message` / :func:`decode_message` produce byte-identical
-# wire data in a single walk each, which matters because every protocol
-# message crosses this boundary at least once per receiver. The two-pass
-# functions above remain the reference implementation; a property test
-# asserts the fused codec matches them byte for byte.
-
-
-def encode_message(msg: Any) -> bytes:
-    """Single-walk equivalent of ``canonical_encode(message_to_wire(msg))``.
-
-    Emits the canonical JSON text directly while walking (sorted keys,
-    compact separators, ASCII escapes via the C ``encode_basestring_ascii``
-    json uses internally), so one pass replaces the seed's message walk,
-    canonical walk, and ``json.dumps`` walk.
-    """
-    METRICS.encode_calls += 1
-    out: list[str] = []
-    _fuse_encode(msg, out)
-    return "".join(out).encode("ascii")
-
-
-def decode_message(data: bytes) -> Any:
-    """Single-walk equivalent of ``message_from_wire(decode_payload(data))``."""
-    try:
-        return _fuse_from_jsonable(_json_loads(data.decode("ascii")))
-    except ProtocolError:
-        raise
-    except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
-        raise ProtocolError(f"malformed canonical payload: {exc}") from exc
-
-
-# Sorted field names per message class: json's sort_keys orders the
-# emitted body, so the direct emitter must write fields in sorted order.
-_SORTED_FIELDS: dict[type, tuple[str, ...]] = {}
-
-
-def _sorted_fields(cls: type) -> tuple[str, ...]:
-    names = _SORTED_FIELDS.get(cls)
-    if names is None:
-        names = tuple(sorted(_field_names(cls)))
-        _SORTED_FIELDS[cls] = names
-    return names
-
-
-# Pre-escaped emit plans, one per message class: the canonical header
-# ('{"__msg__":"<kind>","v":{') plus a '[,]"<name>":' prefix per sorted
-# field. Field names and kinds are constants, so escaping them per
-# message on the hot path was pure waste — a plan turns each message
-# into one append per field.
-_EMIT_PLANS: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {}
-
-#: Canonical prefix of an encoded ``bytes`` leaf. The base64 alphabet
-#: never needs JSON escaping, so the digest fast path can emit the
-#: encoded text between pre-built quotes, skipping ``_escape_ascii``.
-_BYTES_OPEN = '{"__repro__":"bytes","v":"'
-
-
-def _emit_plan(cls: type, msg_kind: str) -> tuple[str, tuple[tuple[str, str], ...]]:
-    plan = _EMIT_PLANS.get(cls)
-    if plan is None:
-        header = '{"__msg__":' + _escape_ascii(msg_kind) + ',"v":{'
-        prefixes = tuple(
-            (("" if i == 0 else ",") + _escape_ascii(name) + ":", name)
-            for i, name in enumerate(_sorted_fields(cls))
-        )
-        plan = (header, prefixes)
-        _EMIT_PLANS[cls] = plan
-    return plan
-
-
-def _plain_json(value: Any, out: list[str]) -> None:
-    """Emit an already-canonical leaf-tag value (scalar or scalar list)."""
-    kind = type(value)
-    if kind is str:
-        out.append(_escape_ascii(value))
-    elif kind is bool:
-        out.append("true" if value else "false")
-    elif kind is int:
-        out.append(repr(value))
-    elif kind is list:
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _plain_json(item, out)
-        out.append("]")
-    else:
-        out.append(_json_dumps(value, sort_keys=True, separators=(",", ":")))
-
-
-def _fuse_encode(value: Any, out: list[str]) -> None:
-    """Recursive single-pass emitter of the composed wire encoding.
-
-    The scalar and ``bytes`` cases are additionally inlined at every
-    container recursion site below: protocol messages are shallow trees
-    whose leaves are overwhelmingly ints, strings, and digests, so
-    dispatching them without a Python call frame is the difference the
-    fig7/fig8 gate measures (see ``docs/benchmarks.md``).
-    """
-    kind = type(value)
-    append = out.append
-    if kind is str:
-        append(_escape_ascii(value))
-        return
-    if kind is int:
-        append(repr(value))
-        return
-    if kind is bytes:
-        append(_BYTES_OPEN)
-        append(_b64encode(value).decode("ascii"))
-        append('"}')
-        return
-    if kind is bool:
-        append("true" if value else "false")
-        return
-    if value is None:
-        append("null")
-        return
-    leaf = _LEAF_ENCODERS.get(kind)
-    if leaf is not None:
-        tagged = leaf(value)
-        append('{"__repro__":')
-        append(_escape_ascii(tagged[_TAG]))
-        append(',"v":')
-        _plain_json(tagged["v"], out)
-        append("}")
-        return
-    if kind is dict:
-        append('{"__seq__":"dict","v":{')
-        first = True
-        for k in sorted(value):
-            if type(k) is not str and not isinstance(k, str):
-                raise ProtocolError(f"non-string dict key not encodable: {k!r}")
-            if first:
-                first = False
-            else:
-                append(",")
-            append(_escape_ascii(k))
-            append(":")
-            _fuse_encode(value[k], out)
-        append("}}")
-        return
-    if kind is list or kind is tuple:
-        append(
-            '{"__seq__":"list","v":[' if kind is list
-            else '{"__seq__":"tuple","v":['
-        )
-        first = True
-        for item in value:
-            if first:
-                first = False
-            else:
-                append(",")
-            item_kind = type(item)
-            if item_kind is str:
-                append(_escape_ascii(item))
-            elif item_kind is int:
-                append(repr(item))
-            elif item_kind is bytes:
-                append(_BYTES_OPEN)
-                append(_b64encode(item).decode("ascii"))
-                append('"}')
-            else:
-                _fuse_encode(item, out)
-        append("]}")
-        return
-    if kind is float:
-        raise ProtocolError(f"floats are not canonically encodable: {value!r}")
-    msg_kind = getattr(value, "KIND", None)
-    if msg_kind is not None:
-        header, field_plan = _emit_plan(kind, msg_kind)
-        append(header)
-        for prefix, name in field_plan:
-            append(prefix)
-            field = getattr(value, name)
-            field_kind = type(field)
-            if field_kind is int:
-                append(repr(field))
-            elif field_kind is str:
-                append(_escape_ascii(field))
-            elif field_kind is bytes:
-                append(_BYTES_OPEN)
-                append(_b64encode(field).decode("ascii"))
-                append('"}')
-            else:
-                _fuse_encode(field, out)
-        append("}}")
-        return
-    # Subclasses of supported types (IntEnum, NamedTuple, dict/list
-    # subclasses, id subclasses) keep the seed's isinstance semantics:
-    # normalise to the base form and re-dispatch; anything else is not
-    # encodable.
-    if isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, float):
-        raise ProtocolError(f"floats are not canonically encodable: {value!r}")
-    elif isinstance(value, int):
-        out.append(repr(int(value)))
-    elif isinstance(value, str):
-        out.append(_escape_ascii(str(value)))
-    else:
-        for leaf_type, leaf_encoder in _LEAF_ENCODERS.items():
-            if isinstance(value, leaf_type):
-                tagged = leaf_encoder(value)
-                out.append('{"__repro__":')
-                out.append(_escape_ascii(tagged[_TAG]))
-                out.append(',"v":')
-                _plain_json(tagged["v"], out)
-                out.append("}")
-                return
-        if isinstance(value, tuple):
-            _fuse_encode(tuple(value), out)
-        elif isinstance(value, list):
-            _fuse_encode(list(value), out)
-        elif isinstance(value, dict):
-            _fuse_encode(dict(value), out)
-        else:
-            raise ProtocolError(
-                f"type {kind.__name__} is not canonically encodable"
-            )
-
-
-def _fuse_from_jsonable(obj: Any) -> Any:
-    """Recursive walk composing the canonical and message decoders."""
-    kind = type(obj)
-    if kind is dict:
-        if _TAG in obj:
-            return _from_jsonable(obj)
-        msg_kind = obj.get("__msg__")
-        if msg_kind is not None:
-            cls = _REGISTRY.get(msg_kind)
-            if cls is None:
-                raise ProtocolError(f"unknown message kind: {msg_kind!r}")
-            return cls(
-                **{k: _fuse_from_jsonable(v) for k, v in obj["v"].items()}
-            )
-        shape = obj.get("__seq__")
-        if shape is not None:
-            value = obj["v"]
-            if shape == "dict":
-                return {k: _fuse_from_jsonable(v) for k, v in value.items()}
-            if shape == "list":
-                return [_fuse_from_jsonable(v) for v in value]
-            if shape == "tuple":
-                return tuple(_fuse_from_jsonable(v) for v in value)
-            raise ProtocolError(f"unknown sequence shape: {shape!r}")
-        return {k: _fuse_from_jsonable(v) for k, v in obj.items()}
-    if kind is list:
-        return [_fuse_from_jsonable(v) for v in obj]
-    return obj
 
 
 @register

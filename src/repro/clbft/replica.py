@@ -55,7 +55,7 @@ _BATCH_DIGESTS = IdentityMemo()
 def batch_digest(requests: tuple) -> bytes:
     """Digest of a request batch (the value agreement is run on).
 
-    Taken over the fused wire encoding in one walk; every replica uses
+    Taken over the canonical encoding in one walk; every replica uses
     this same function, so only internal consistency matters.
     """
     # analysis: allow(WIRE001, WIRE002) — computed once per batch object

@@ -1,178 +1,278 @@
 """Canonical, deterministic serialisation.
 
 Every byte string that is MAC'd, digested, or compared across replicas must
-be produced identically on every host. We use a canonical subset of JSON
-(sorted keys, no whitespace, UTF-8) plus a tagging scheme for the small set
-of non-JSON types that cross replica boundaries (bytes, tuples, and the
-typed identifiers from :mod:`repro.common.ids`).
+be produced identically on every host. One binary codec does it: a value is
+a one-byte tag followed by its body, lengths and counts are big-endian
+fixed-width integers, and ``bytes`` travel raw::
+
+    value = b"n" | b"T" | b"F"                 None, True, False
+          | b"i" i64                           int in [-2**63, 2**63)
+          | b"I" u32(len) int                  any other int: minimal
+                                               two's complement, big-endian
+          | b"s" u32(len) utf8                 str
+          | b"b" u32(len) raw                  bytes
+          | b"l" u32(count) value*             list
+          | b"t" u32(count) value*             tuple
+          | b"d" u32(count) (u32(len) utf8 value)*
+                                               dict, str keys strictly
+                                               ascending
+          | id-tag value*                      ServiceId b"S", ReplicaId b"R",
+                                               NodeId b"N", RequestId b"Q",
+                                               MessageId b"M"
+          | b"m" u8(len) kind u8(count) value* registered message
+
+Identifiers and registered messages carry their fields in declared order;
+:func:`register_message` adds a message class (``clbft.messages.register``
+is this decorator). Floats, non-``str`` dict keys and unregistered types do
+not encode.
 
 This plays the role of the paper's wire marshaling: the Perpetual prototype
 serialises Java objects, Axis2 serialises XML; here one canonical codec
 serves both layers so that digests computed by different replicas agree.
 
-The encoder is the hottest function in the simulator (every protocol
-message crosses it at least once), so it is built for speed:
+The decoder reads bytes from other principals, so it accepts only the
+canonical form: if ``decode_payload(b)`` returns ``v`` then
+``canonical_encode(v) == b``. Anything else — a truncated length, trailing
+bytes, an unknown tag or kind, a wrong field count, unsorted or duplicate
+dict keys, a non-minimal int — raises
+:class:`~repro.common.errors.ProtocolError`.
 
-- :func:`_to_jsonable` walks containers iteratively with an explicit
-  stack — no per-level call overhead — and dispatches on exact type
-  through lookup tables instead of ``isinstance`` chains (note that
-  ``json.dumps`` still bounds total nesting at the interpreter limit);
-- :class:`WireBlob` carries ``(bytes, digest)`` for a message that was
-  encoded exactly once, so multicast/sign/digest consumers share one
-  encoding pass; a sender that keeps a message for re-sending keeps its
-  blob (stored replies do), so nothing looks blobs up by identity.
+:class:`WireBlob` carries ``(bytes, digest)`` for a message that was
+encoded exactly once, so multicast/sign/digest consumers share one
+encoding pass; a sender that keeps a message for re-sending keeps its blob
+(stored replies do), so nothing looks blobs up by identity.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
+import struct
 from collections import OrderedDict
-from json import dumps as _json_dumps, loads as _json_loads
+from dataclasses import fields
 from typing import Any, Callable
 
 from repro.common.errors import ProtocolError
 from repro.common.ids import MessageId, NodeId, ReplicaId, RequestId, ServiceId
 from repro.common.metrics import METRICS
 
-_TAG = "__repro__"
+_I64 = struct.Struct(">Bq")
+_U32 = struct.Struct(">I")
+_TAGGED_U32 = struct.Struct(">BI")
+_pack_i64 = _I64.pack
+_pack_u32 = _U32.pack
+_pack_tagged = _TAGGED_U32.pack
+_unpack_i64 = struct.Struct(">q").unpack_from
+_unpack_u32 = _U32.unpack_from
+
+_I64_MIN = -(2**63)
+_I64_MAX = 2**63 - 1
+
+_INT, _BIG, _STR, _BYTES = b"i"[0], b"I"[0], b"s"[0], b"b"[0]
+_LIST, _TUPLE, _DICT, _MSG = b"l"[0], b"t"[0], b"d"[0], b"m"[0]
+_NONE, _TRUE, _FALSE = b"n", b"T", b"F"
+
+#: Encoding plan per registered class: ``(header, field names)``.
+_PLANS: dict[type, tuple[bytes, tuple[str, ...]]] = {}
+#: Decoding tables: identifier tag byte / message kind -> class, field count.
+_ID_TAGS: dict[int, tuple[type, int]] = {}
+_KINDS: dict[bytes, tuple[type, int]] = {}
 
 
-def _tagged(kind: str, value: Any) -> dict[str, Any]:
-    return {_TAG: kind, "v": value}
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
-# Types that are already canonical-JSON-safe, by exact type. ``bool`` is
-# listed separately from ``int`` because dispatch is on ``type(obj)``.
-_SCALAR_TYPES = frozenset((type(None), bool, int, str))
-
-# Non-container leaves, by exact type. Each encoder returns the tagged
-# wire form in one call.
-_LEAF_ENCODERS: dict[type, Callable[[Any], dict[str, Any]]] = {
-    bytes: lambda o: _tagged("bytes", base64.b64encode(o).decode("ascii")),
-    ServiceId: lambda o: _tagged("service", o.name),
-    ReplicaId: lambda o: _tagged("replica", [o.service.name, o.index]),
-    NodeId: lambda o: _tagged(
-        "node", [o.replica.service.name, o.replica.index, o.role]
-    ),
-    RequestId: lambda o: _tagged("request", [o.origin.name, o.seqno]),
-    MessageId: lambda o: _tagged("msgid", o.value),
-}
+def register_message(cls: type) -> type:
+    """Class decorator: encode ``cls`` instances as ``cls.KIND`` followed
+    by their fields in declared order."""
+    kind = cls.KIND.encode("ascii")
+    names = _field_names(cls)
+    if kind in _KINDS and _KINDS[kind][0] is not cls:
+        raise ValueError(f"message kind {cls.KIND!r} registered twice")
+    _KINDS[kind] = (cls, len(names))
+    _PLANS[cls] = (bytes((_MSG, len(kind))) + kind + bytes((len(names),)), names)
+    return cls
 
 
-def _to_jsonable_slow(obj: Any) -> Any:
-    """Recursive fallback for subclassed scalar/container types.
-
-    The fast path dispatches on exact type; values whose type is a
-    *subclass* of a supported type (an IntEnum, a NamedTuple, ...) land
-    here and keep the seed encoder's isinstance semantics.
-    """
-    # Normalise scalar subclasses to the base value so json sees plain
-    # types; bool before int (it subclasses int), float always rejected.
-    if isinstance(obj, bool):
-        return bool(obj)
-    if isinstance(obj, float):
-        raise ProtocolError(f"floats are not canonically encodable: {obj!r}")
-    if isinstance(obj, int):
-        return int(obj)
-    if isinstance(obj, str):
-        return str(obj)
-    for leaf_type, encoder in _LEAF_ENCODERS.items():
-        if isinstance(obj, leaf_type):
-            return encoder(obj)
-    if isinstance(obj, tuple):
-        return _tagged("tuple", [_to_jsonable(v) for v in obj])
-    if isinstance(obj, list):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        out = {}
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise ProtocolError(f"non-string dict key not encodable: {key!r}")
-            out[key] = _to_jsonable(value)
-        return out
-    raise ProtocolError(f"type {type(obj).__name__} is not canonically encodable")
+for _cls, _tag in (
+    (ServiceId, b"S"), (ReplicaId, b"R"), (NodeId, b"N"),
+    (RequestId, b"Q"), (MessageId, b"M"),
+):
+    _ID_TAGS[_tag[0]] = (_cls, len(_field_names(_cls)))
+    _PLANS[_cls] = (_tag, _field_names(_cls))
 
 
-def _to_jsonable(obj: Any) -> Any:
-    """Convert ``obj`` into canonical-JSON-safe structures, iteratively."""
-    kind = type(obj)
-    if kind in _SCALAR_TYPES:
-        return obj
-    leaf = _LEAF_ENCODERS.get(kind)
-    if leaf is not None:
-        return leaf(obj)
-    # Containers: explicit-stack walk. Each work item writes its converted
-    # value into ``dst[key]``; the root is slot 0 of a one-element list.
-    root: list[Any] = [None]
-    stack: list[tuple[Any, Any, Any]] = [(obj, root, 0)]
-    push = stack.append
-    pop = stack.pop
-    leaf_encoders = _LEAF_ENCODERS
-    scalar_types = _SCALAR_TYPES
-    while stack:
-        value, dst, key = pop()
-        kind = type(value)
-        if kind in scalar_types:
-            dst[key] = value
-            continue
-        leaf = leaf_encoders.get(kind)
-        if leaf is not None:
-            dst[key] = leaf(value)
-            continue
-        if kind is dict:
-            out: dict[str, Any] = {}
-            dst[key] = out
-            for k, v in value.items():
-                if type(k) is not str and not isinstance(k, str):
-                    raise ProtocolError(
-                        f"non-string dict key not encodable: {k!r}"
-                    )
-                push((v, out, k))
-        elif kind is list:
-            items: list[Any] = [None] * len(value)
-            dst[key] = items
-            for i, v in enumerate(value):
-                push((v, items, i))
-        elif kind is tuple:
-            items = [None] * len(value)
-            dst[key] = _tagged("tuple", items)
-            for i, v in enumerate(value):
-                push((v, items, i))
-        elif kind is float:
-            raise ProtocolError(
-                f"floats are not canonically encodable: {value!r}"
-            )
+def _big_int(value: int) -> bytes:
+    size = ((value if value >= 0 else ~value).bit_length() + 8) // 8
+    return _pack_tagged(_BIG, size) + value.to_bytes(size, "big", signed=True)
+
+
+def _emit(value: Any, out: list[bytes]) -> None:
+    """Append the canonical form of ``value`` to ``out``, dispatching on
+    exact type; subclasses take :func:`_emit_subclass`."""
+    kind = type(value)
+    append = out.append
+    if kind is int:
+        if _I64_MIN <= value <= _I64_MAX:
+            append(_pack_i64(_INT, value))
         else:
-            dst[key] = _to_jsonable_slow(value)
-    return root[0]
+            append(_big_int(value))
+    elif kind is bytes:
+        append(_pack_tagged(_BYTES, len(value)))
+        append(value)
+    elif kind is str:
+        raw = value.encode()
+        append(_pack_tagged(_STR, len(raw)))
+        append(raw)
+    elif value is None:
+        append(_NONE)
+    elif kind is bool:
+        append(_TRUE if value else _FALSE)
+    elif kind is list or kind is tuple:
+        append(_pack_tagged(_LIST if kind is list else _TUPLE, len(value)))
+        for item in value:
+            _emit(item, out)
+    elif kind is dict:
+        try:
+            keys = sorted(value)
+        except TypeError:
+            keys = list(value)  # mixed key types; the check below rejects
+        append(_pack_tagged(_DICT, len(keys)))
+        for key in keys:
+            if type(key) is not str:
+                if not isinstance(key, str):
+                    raise ProtocolError(
+                        f"non-string dict key not encodable: {key!r}"
+                    )
+                key = str(key)
+            raw = key.encode()
+            append(_pack_u32(len(raw)))
+            append(raw)
+            _emit(value[key], out)
+    else:
+        plan = _PLANS.get(kind)
+        if plan is None:
+            _emit_subclass(value, out)
+            return
+        header, names = plan
+        append(header)
+        for name in names:
+            _emit(getattr(value, name), out)
 
 
-def _from_jsonable(obj: Any) -> Any:
-    kind = type(obj)
-    if kind is list:
-        return [_from_jsonable(v) for v in obj]
-    if kind is dict:
-        tag = obj.get(_TAG)
-        if tag is None:
-            return {k: _from_jsonable(v) for k, v in obj.items()}
-        value = obj["v"]
-        if tag == "bytes":
-            return base64.b64decode(value)
-        if tag == "tuple":
-            return tuple(_from_jsonable(v) for v in value)
-        if tag == "service":
-            return ServiceId(value)
-        if tag == "replica":
-            return ReplicaId(ServiceId(value[0]), value[1])
-        if tag == "node":
-            return NodeId(ReplicaId(ServiceId(value[0]), value[1]), value[2])
-        if tag == "request":
-            return RequestId(ServiceId(value[0]), value[1])
-        if tag == "msgid":
-            return MessageId(value)
-        raise ProtocolError(f"unknown canonical tag: {tag!r}")
-    return obj
+def _emit_subclass(value: Any, out: list[bytes]) -> None:
+    """Subclasses of supported types (IntEnum, NamedTuple, str/dict/list
+    subclasses, identifier subclasses) encode as their base form; floats
+    and every other type are refused."""
+    if isinstance(value, float):
+        raise ProtocolError(f"floats are not canonically encodable: {value!r}")
+    for base in (int, str, bytes, tuple, list, dict):
+        if isinstance(value, base):
+            _emit(base(value), out)
+            return
+    for cls, (header, names) in _PLANS.items():
+        if isinstance(value, cls):
+            out.append(header)
+            for name in names:
+                _emit(getattr(value, name), out)
+            return
+    raise ProtocolError(
+        f"type {type(value).__name__} is not canonically encodable"
+    )
+
+
+def _slice(data: bytes, offset: int) -> tuple[bytes, int]:
+    """The u32-length-prefixed field at ``offset`` and where it ends,
+    refusing a length that overruns the buffer before slicing."""
+    (size,) = _unpack_u32(data, offset)
+    start = offset + 4
+    end = start + size
+    if end > len(data):
+        raise ValueError(f"{size}-byte field at offset {start} overruns the input")
+    return data[start:end], end
+
+
+def _count(data: bytes, offset: int) -> tuple[int, int]:
+    """A u32 item count, at most the bytes left (every item takes one)."""
+    (count,) = _unpack_u32(data, offset)
+    offset += 4
+    if count > len(data) - offset:
+        raise ValueError(f"count {count} at offset {offset} exceeds the input")
+    return count, offset
+
+
+def _read(data: bytes, offset: int) -> tuple[Any, int]:
+    """The value whose tag is at ``data[offset]`` and where it ends.
+
+    Raises ``IndexError``/``struct.error``/``ValueError``/
+    ``UnicodeDecodeError`` on input that is not canonical;
+    :func:`decode_payload` turns them into :class:`ProtocolError`.
+    """
+    tag = data[offset]
+    offset += 1
+    if tag == _INT:
+        return _unpack_i64(data, offset)[0], offset + 8
+    if tag == _BYTES:
+        return _slice(data, offset)
+    if tag == _STR:
+        raw, offset = _slice(data, offset)
+        return raw.decode(), offset
+    if tag == _MSG:
+        end = offset + 1 + data[offset]
+        entry = _KINDS.get(data[offset + 1:end])
+        if entry is None:
+            raise ValueError(f"unknown message kind {data[offset + 1:end]!r}")
+        cls, count = entry
+        if data[end] != count:
+            raise ValueError(
+                f"{cls.__name__} has {count} fields, not {data[end]}"
+            )
+        offset = end + 1
+        values = []
+        for _ in range(count):
+            value, offset = _read(data, offset)
+            values.append(value)
+        return cls(*values), offset
+    if tag == _LIST or tag == _TUPLE:
+        count, offset = _count(data, offset)
+        items = []
+        for _ in range(count):
+            value, offset = _read(data, offset)
+            items.append(value)
+        return (items if tag == _LIST else tuple(items)), offset
+    if tag == _DICT:
+        count, offset = _count(data, offset)
+        out: dict[str, Any] = {}
+        previous = None
+        for _ in range(count):
+            raw, offset = _slice(data, offset)
+            key = raw.decode()
+            if previous is not None and key <= previous:
+                raise ValueError(f"dict key {key!r} out of order")
+            out[key], offset = _read(data, offset)
+            previous = key
+        return out, offset
+    entry = _ID_TAGS.get(tag)
+    if entry is not None:
+        cls, count = entry
+        values = []
+        for _ in range(count):
+            value, offset = _read(data, offset)
+            values.append(value)
+        return cls(*values), offset
+    if tag == _NONE[0]:
+        return None, offset
+    if tag == _TRUE[0]:
+        return True, offset
+    if tag == _FALSE[0]:
+        return False, offset
+    if tag == _BIG:
+        raw, offset = _slice(data, offset)
+        value = int.from_bytes(raw, "big", signed=True)
+        if _I64_MIN <= value <= _I64_MAX or _big_int(value)[5:] != raw:
+            raise ValueError(f"non-canonical int form {raw!r}")
+        return value, offset
+    raise ValueError(f"unknown tag {tag:#04x} at offset {offset - 1}")
 
 
 def canonical_encode(obj: Any) -> bytes:
@@ -184,10 +284,12 @@ def canonical_encode(obj: Any) -> bytes:
         METRICS.encode_cache_hits += 1
         return obj.data
     METRICS.encode_calls += 1
-    return _json_dumps(
-        _to_jsonable(obj), sort_keys=True, separators=(",", ":"),
-        ensure_ascii=True,
-    ).encode("ascii")
+    out: list[bytes] = []
+    try:
+        _emit(obj, out)
+    except (UnicodeEncodeError, RecursionError) as exc:
+        raise ProtocolError(f"not canonically encodable: {exc}") from exc
+    return b"".join(out)
 
 
 def encode_payload(obj: Any) -> bytes:
@@ -196,11 +298,18 @@ def encode_payload(obj: Any) -> bytes:
 
 
 def decode_payload(data: bytes) -> Any:
-    """Inverse of :func:`canonical_encode`."""
+    """Inverse of :func:`canonical_encode`; canonical input only."""
+    if type(data) is not bytes:
+        data = bytes(data)
     try:
-        return _from_jsonable(_json_loads(data.decode("ascii")))
-    except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
+        value, end = _read(data, 0)
+        if end != len(data):
+            raise ValueError(f"{len(data) - end} trailing bytes")
+    except (
+        IndexError, struct.error, ValueError, TypeError, RecursionError,
+    ) as exc:
         raise ProtocolError(f"malformed canonical payload: {exc}") from exc
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 class Metrics:
     """Operation counters for the serialization/crypto/kernel stack."""
 
-    #: Full canonical encodes actually performed (JSON walk + dumps).
+    #: Full canonical encodes actually performed (one canonical-codec walk).
     encode_calls: int = 0
     #: Encodes answered from a :class:`~repro.common.encoding.WireBlob`.
     encode_cache_hits: int = 0

@@ -121,7 +121,7 @@ def request_match_key(req: OutRequest) -> str:
 
     Retries rotate ``responder_index`` and bump ``attempt``; copies still
     match if the logical request — id, caller, target, payload — agrees.
-    Keys are digests of the fused wire encoding; every voter derives them
+    Keys are digests of the canonical encoding; every voter derives them
     with this same function, so only internal consistency matters.
     """
     # Key over a *subset* of the message (attempt/responder excluded),
@@ -372,7 +372,7 @@ class VoterNode(ProtocolNode):
     # -- network messages ---------------------------------------------------
 
     def _on_network(self, envelope: WireEnvelope) -> None:
-        # The channel's fused codec decodes straight to protocol messages.
+        # The channel's codec decodes straight to protocol messages.
         msg = self._channel.accept(envelope)
         if msg is None:
             return

@@ -9,8 +9,8 @@ network model, crypto cost model, and fault injections once, and any
 - ``sim``      — the deterministic discrete-event kernel (all figures);
 - ``threaded`` — one OS thread per protocol node, racy interleavings;
 - ``asyncio``  — every protocol node a task on one event loop;
-- ``process``  — one OS process per voter/driver pair, fused-codec
-  envelopes over pipes (real parallelism).
+- ``process``  — one OS process per voter/driver pair, binary
+  envelope frames over pipes (real parallelism).
 
 The first three share one deploy loop (:mod:`repro.scenario.local`).
 

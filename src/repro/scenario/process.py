@@ -3,8 +3,8 @@
 ``ProcessRuntime`` places each replica's co-located voter/driver pair in
 its own ``multiprocessing`` process, exactly the paper's placement of
 both halves on one machine. Everything that crosses a process boundary
-is a fused-codec :class:`~repro.transport.wire.WireEnvelope` — PR 1 made
-that codec the full serialisation boundary, so protocol code runs
+is a :class:`~repro.transport.wire.WireEnvelope` in its binary form,
+around payloads of the one canonical codec, so protocol code runs
 unchanged; local voter<->driver traffic stays inside the worker.
 
 Wiring:

@@ -15,7 +15,7 @@ Four implementations ship: :class:`repro.scenario.sim.SimRuntime`
 (deterministic discrete-event kernel), :class:`repro.scenario.threaded
 .ThreadedRuntime` (one OS thread per node), :class:`repro.scenario
 .process.ProcessRuntime` (one OS process per voter/driver pair,
-fused-codec envelopes over pipes), and
+binary envelope frames over pipes), and
 :class:`repro.scenario.aio.AsyncioRuntime` (every node a task on one
 asyncio event loop). ``run_scenario`` is the one-call entry point the
 figure generators, the TPC-W harness, and the CLI all share.

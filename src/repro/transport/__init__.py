@@ -14,8 +14,8 @@ layering:
   connection backs the threaded runtime;
 - :mod:`repro.transport.wire` — framing of protocol messages into
   authenticated wire envelopes, and the envelopes' two wire forms: the
-  JSON one that rides inside messages and the binary one a transport
-  hop carries.
+  plain-data one the canonical codec can encode and the binary one a
+  transport hop carries.
 
 Contract: this is the only layer that constructs envelopes (rule
 WIRE003) — encode once into a shared blob, digest once per message,

@@ -86,9 +86,8 @@ class ChannelAdapter:
         # charges (wire handling + MAC verification) into one constant so
         # the hot accept path makes a single charge call.
         self._accept_charge_us = wire_cpu_us + cost_model.verification_cost_us()
-        # Injected wire codec: protocol nodes pass the fused message codec
-        # so their dataclass messages cross the channel in one walk; the
-        # default canonical codec serves plain payloads.
+        # Injected wire codec: protocol nodes pass encode_message /
+        # decode_message; the default canonical codec is the same one.
         self._encode = encode
         self._decode = decode or decode_payload
         #: ``off`` | ``tick`` | positive int (flush window in µs). The

@@ -144,10 +144,11 @@ class BatchEnvelope:
 def envelope_to_wire(envelope: WireEnvelope | BatchEnvelope) -> list:
     """Flatten an envelope into canonically encodable structures.
 
-    The JSON reference form the tests compare :func:`envelope_to_bytes`
-    against; batch envelopes flatten recursively. No protocol message
-    embeds an envelope: a stage-2 request item carries the stage-1
-    payload bytes once plus :func:`auth_to_wire` authenticators (see
+    The plain-data reference form the tests compare
+    :func:`envelope_to_bytes` against; batch envelopes flatten
+    recursively. No protocol message embeds an envelope: a stage-2
+    request item carries the stage-1 payload bytes once plus
+    :func:`auth_to_wire` authenticators (see
     :func:`repro.perpetual.messages.request_item`), and a transport hop
     carries :func:`envelope_to_bytes`. WIRE001 keeps calls inside
     ``transport/``.
@@ -191,8 +192,8 @@ def envelope_from_wire(data: list) -> WireEnvelope | BatchEnvelope:
 #     auth     = u16(len sender) sender u16(len entries) entry*
 #     entry    = u16(len name) name u16(len tag) tag
 #
-# Payloads and MAC tags travel raw, names as UTF-8. The JSON form above
-# is the reference the tests compare this one against.
+# Payloads and MAC tags travel raw, names as UTF-8. The plain-data form
+# above is the reference the tests compare this one against.
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")

@@ -40,7 +40,7 @@ def test_responder_cannot_forge_results():
     bundle with vouchers below ft+1 (or with tampered results) never
     reaches the application."""
     from repro.common.ids import RequestId, ServiceId
-    from repro.clbft.messages import message_to_wire
+    from repro.clbft.messages import decode_message, encode_message
     from repro.perpetual.messages import ReplyBundle
     from repro.transport.channel import ChannelAdapter
     from repro.transport.connection import SimConnection
@@ -66,12 +66,15 @@ def test_responder_cannot_forge_results():
         vouchers=((1, ["target/v1", [["caller/d0", b"f" * 16]]]),),
     )
     env = deployment.sim.env("target/v1")
+    assert decode_message(encode_message(forged)) == forged
     channel = ChannelAdapter(
         me="target/v1",
         keys=deployment.keys,
         connection=SimConnection(env),
+        encode=encode_message,
+        decode=decode_message,
     )
-    channel.send("caller/d0", message_to_wire(forged))
+    channel.send("caller/d0", forged)
     deployment.run(seconds=30)
     assert caller.group.drivers[0].completed_calls == 1  # nothing new
     assert caller.group.drivers[0].aborted_calls == 0

@@ -5,15 +5,19 @@ suspected silent voters every n-th call named a dead target replica and
 waited out the 250 ms retransmission timer: a 4x4 echo of 200 calls with
 one crashed target backup finished 20x later than fault-free. Each run
 below is deterministic on the sim. The bounds are on the caller's last
-completion against the fault-free run:
+completion:
 
 - a crash or a mute Byzantine replica at any non-primary position:
-  at most 1.5x;
+  at most 1.5x the fault-free run;
 - a crashed target primary (the backups' 500 ms view-change timer is
-  paid once): at most 3.5x;
+  paid once): at most 3.5x the fault-free run;
 - a crashed or mute caller primary and a mute target primary: no worse
-  than before suspicion (1.79x, 1.76x and 2.20x; these positions cost a
-  view change, not responder timeouts).
+  than before suspicion, in absolute virtual time (1,189,926 us,
+  1,167,120 us and 1,462,131 us). These positions cost a view change,
+  not responder timeouts, so their completion is timer-bound: a cheaper
+  codec shortens the fault-free run and every faulty run by the same
+  few milliseconds, which raises their ratio to it without making any
+  of them slower.
 
 The TPC-W case bounds retransmissions per bank call with a dead bank
 backup. The window-batching case pins the fix of a retransmitted stage-1
@@ -29,11 +33,12 @@ from repro.scenario.spec import FaultSpec
 
 CALLS = 200
 
-#: (service, replica, fault) -> bound on last completion / fault-free.
-NO_WORSE_THAN_BEFORE = {
-    ("caller", 0, "crash"): 1.79,
-    ("caller", 0, "mute"): 1.76,
-    ("target", 0, "mute"): 2.20,
+#: (service, replica, fault) -> bound on last completion, in virtual µs:
+#: the completions measured before drivers suspected silent responders.
+NO_WORSE_THAN_BEFORE_US = {
+    ("caller", 0, "crash"): 1_189_926,
+    ("caller", 0, "mute"): 1_167_120,
+    ("target", 0, "mute"): 1_462_131,
 }
 TARGET_PRIMARY_CRASH = 3.5
 NON_PRIMARY = 1.5
@@ -78,13 +83,13 @@ def test_one_faulty_replica_costs_about_one_timeout(
     caller = run_scenario(spec, runtime="sim", until_s=60).services["caller"]
     assert caller.completed_calls == CALLS
     assert caller.aborted_calls == 0
-    if (service, index, fault) in NO_WORSE_THAN_BEFORE:
-        bound = NO_WORSE_THAN_BEFORE[(service, index, fault)]
+    if (service, index, fault) in NO_WORSE_THAN_BEFORE_US:
+        bound_us = NO_WORSE_THAN_BEFORE_US[(service, index, fault)]
     elif (service, index) == ("target", 0):
-        bound = TARGET_PRIMARY_CRASH
+        bound_us = TARGET_PRIMARY_CRASH * fault_free_us
     else:
-        bound = NON_PRIMARY
-    assert caller.last_completion_us <= bound * fault_free_us
+        bound_us = NON_PRIMARY * fault_free_us
+    assert caller.last_completion_us <= bound_us
 
 
 def test_dead_bank_backup_retransmits_for_few_bank_calls():

@@ -11,14 +11,13 @@ Three scenarios:
    deterministically and keep their replica state consistent.
 """
 
-from repro.clbft.messages import message_to_wire
+from repro.clbft.messages import decode_message, encode_message
 from repro.common.ids import RequestId, ServiceId
 from repro.crypto.auth import AuthenticatorFactory
 from repro.perpetual.messages import OutRequest
 from repro.perpetual.voter import voter_name
 from repro.sim.network import LanModel, PartitionModel
 from repro.transport.wire import WireEnvelope
-from repro.common.encoding import canonical_encode
 from repro.scenario.sim import Deployment
 from tests.integration.helpers import (
     build_two_tier,
@@ -45,7 +44,8 @@ class TestRequestInjection:
             responder_index=0,
             attempt=0,
         )
-        payload = canonical_encode(message_to_wire(forged))
+        payload = encode_message(forged)
+        assert decode_message(payload) == forged
         faulty_driver = "caller/d3"
         voters = [voter_name("target", i) for i in range(4)]
         auth = AuthenticatorFactory(deployment.keys, faulty_driver).sign(
@@ -79,7 +79,8 @@ class TestRequestInjection:
             responder_index=0,
             attempt=0,
         )
-        payload = canonical_encode(message_to_wire(forged))
+        payload = encode_message(forged)
+        assert decode_message(payload) == forged
         voters = [voter_name("target", i) for i in range(4)]
         for driver_index in (2, 3):
             sender = f"caller/d{driver_index}"

@@ -1,11 +1,13 @@
-"""Property tests: the fused wire codec matches the two-pass reference.
+"""Property tests: the canonical codec round-trips, and decodes only
+canonical bytes.
 
-``encode_message`` / ``decode_message`` exist purely for speed; their
-contract is byte-for-byte equivalence with
-``canonical_encode(message_to_wire(x))`` and value equivalence with
-``message_from_wire(decode_payload(data))``. Replica agreement depends on
-every replica producing identical bytes, so this equivalence is the
-load-bearing property of the wire fast path.
+Replicas MAC and digest the codec's bytes and read each other's, so two
+properties carry the weight: ``decode_message(encode_message(m)) == m``
+for every message, and for *any* input bytes ``b`` decoding either
+raises :class:`ProtocolError` or returns ``v`` with
+``encode_message(v) == b`` — a faulty sender cannot make two correct
+replicas see different values behind one byte string, or one value
+behind two.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,10 +19,8 @@ from repro.clbft.messages import (
     Prepare,
     decode_message,
     encode_message,
-    message_from_wire,
-    message_to_wire,
 )
-from repro.common.encoding import canonical_encode, decode_payload
+from repro.common.errors import ProtocolError
 from repro.common.ids import RequestId, ServiceId
 from repro.perpetual.messages import OutRequest, ReplyBundle, ResultSubmission
 
@@ -38,13 +38,12 @@ payloads = st.recursive(
     st.one_of(
         st.none(),
         st.booleans(),
-        st.integers(min_value=-(2**40), max_value=2**40),
+        st.integers(min_value=-(2**70), max_value=2**70),
         st.text(
             alphabet=st.characters(min_codepoint=32, max_codepoint=126),
             max_size=24,
         ),
-        # Non-ASCII and control characters exercise the escape path, which
-        # must match json.dumps(ensure_ascii=True) byte for byte.
+        # Non-ASCII characters take multi-byte UTF-8 forms.
         st.text(max_size=12),
         st.binary(max_size=24),
         request_ids,
@@ -126,18 +125,43 @@ messages = st.one_of(
 
 @given(messages)
 @settings(max_examples=300)
-def test_fused_encode_matches_two_pass_reference(msg):
-    assert encode_message(msg) == canonical_encode(message_to_wire(msg))
-
-
-@given(messages)
-@settings(max_examples=300)
-def test_fused_decode_matches_two_pass_reference(msg):
-    data = encode_message(msg)
-    assert decode_message(data) == message_from_wire(decode_payload(data))
-
-
-@given(messages)
-@settings(max_examples=200)
-def test_fused_roundtrip_identity(msg):
+def test_message_roundtrip_identity(msg):
     assert decode_message(encode_message(msg)) == msg
+
+
+def _decodes_canonically(data: bytes) -> None:
+    try:
+        value = decode_message(data)
+    except ProtocolError:
+        return
+    assert encode_message(value) == data
+
+
+@given(st.binary(max_size=64))
+@settings(max_examples=500)
+def test_arbitrary_bytes_decode_canonically_or_not_at_all(data):
+    _decodes_canonically(data)
+
+
+@st.composite
+def mutated_encodings(draw):
+    """A message's encoding with one byte flipped, inserted, deleted, or
+    the tail cut off."""
+    data = bytearray(encode_message(draw(messages)))
+    at = draw(st.integers(min_value=0, max_value=len(data) - 1))
+    how = draw(st.sampled_from(("flip", "insert", "delete", "truncate")))
+    if how == "flip":
+        data[at] ^= draw(st.integers(min_value=1, max_value=255))
+    elif how == "insert":
+        data.insert(at, draw(st.integers(min_value=0, max_value=255)))
+    elif how == "delete":
+        del data[at]
+    else:
+        del data[at:]
+    return bytes(data)
+
+
+@given(mutated_encodings())
+@settings(max_examples=500)
+def test_mutated_encodings_decode_canonically_or_not_at_all(data):
+    _decodes_canonically(data)

@@ -1,7 +1,7 @@
 """Fixture: a codec module is not a transport hop.
 
 ``clbft/messages.py`` is on the WIRE001 allowlist for the canonical
-codec (it *is* the fused message codec), but the binary envelope form
+codec (it names that codec's message entry points), but the binary envelope form
 belongs to ``transport/`` and ``scenario/process.py`` alone.
 """
 

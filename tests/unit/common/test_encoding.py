@@ -85,9 +85,9 @@ class TestRejections:
             canonical_encode(object())
 
     def test_malformed_bytes_rejected_on_decode(self):
-        with pytest.raises(ProtocolError):
-            decode_payload(b"not json at all{")
+        with pytest.raises(ProtocolError, match="malformed canonical payload"):
+            decode_payload(b"s\x00\x00\x00\x10truncated")
 
     def test_unknown_tag_rejected_on_decode(self):
-        with pytest.raises(ProtocolError):
-            decode_payload(b'{"__repro__":"alien","v":1}')
+        with pytest.raises(ProtocolError, match="unknown tag"):
+            decode_payload(b"{\"__repro__\":\"alien\",\"v\":1}")

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.clbft.messages import message_from_wire, message_to_wire
-from repro.common.encoding import decode_payload
+from repro.clbft.messages import decode_message
 from repro.common.ids import RequestId, ServiceId
 from repro.crypto.auth import AuthenticatorFactory
 from repro.crypto.keys import KeyStore
@@ -65,7 +64,7 @@ def decoded_out_requests(taps, keys=None):
         if not isinstance(msg, WireEnvelope):
             continue
         try:
-            decoded = message_from_wire(decode_payload(msg.payload))
+            decoded = decode_message(msg.payload)
         except Exception:
             continue
         if isinstance(decoded, OutRequest):
