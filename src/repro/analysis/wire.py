@@ -62,6 +62,7 @@ _CODEC_NAMES = frozenset(
     (
         "encode_message",
         "decode_message",
+        "decode_perpetual",
         "canonical_encode",
         "encode_payload",
         "decode_payload",

@@ -53,6 +53,8 @@ class MessageLog:
         self.stable_proof: tuple = ()
         self._checkpoints: dict[int, dict[int, Checkpoint]] = {}
         self.last_executed = 0
+        #: The highest seqno a pre-prepare was ever logged at (0: none).
+        self._top_pre_prepared = 0
 
     # -- watermarks ---------------------------------------------------------
 
@@ -77,6 +79,23 @@ class MessageLog:
 
     def entry_if_exists(self, view: int, seqno: int) -> SeqnoEntry | None:
         return self._entries.get((view, seqno))
+
+    def set_pre_prepare(self, view: int, seqno: int, msg: PrePrepare) -> None:
+        """Log ``msg`` as the pre-prepare of slot ``(view, seqno)``."""
+        self.entry(view, seqno).pre_prepare = msg
+        if seqno > self._top_pre_prepared:
+            self._top_pre_prepared = seqno
+
+    def awaits_execution(self) -> bool:
+        """Some live entry above ``last_executed`` holds a pre-prepare.
+
+        O(1): entries leave the log only at garbage collection, which
+        drops every seqno at or below the stable checkpoint, and none
+        above ``last_executed`` has executed — so such an entry exists
+        exactly when the highest pre-prepared seqno is above both.
+        """
+        top = self._top_pre_prepared
+        return top > self.last_executed and top > self.stable_seqno
 
     def executed(self, seqno: int) -> bool:
         return seqno <= self.last_executed or any(

@@ -128,6 +128,9 @@ class ClbftReplica:
         # replicas it was already re-sent to (see _on_view_change).
         self._issued_new_view: NewView | None = None
         self._new_view_resent: set[int] = set()
+        # The primary stopped proposing at the high watermark; the next
+        # stable checkpoint slides the window and resumes it.
+        self._window_full = False
 
         # Observability counters.
         self.committed_batches = 0
@@ -176,6 +179,7 @@ class ClbftReplica:
         watermark window allows."""
         while self._pending:
             if not self.log.in_window(self.next_seqno + 1):
+                self._window_full = True
                 return
             batch = []
             for key in list(self._pending):
@@ -193,8 +197,7 @@ class ClbftReplica:
                 digest=batch_digest(requests),
                 requests=requests,
             )
-            entry = self.log.entry(self.view, self.next_seqno)
-            entry.pre_prepare = pre_prepare
+            self.log.set_pre_prepare(self.view, self.next_seqno, pre_prepare)
             self._multicast(pre_prepare)
             # The primary's pre-prepare stands in for its prepare; with
             # n == 1 (unreplicated) the batch is instantly committed.
@@ -239,7 +242,7 @@ class ClbftReplica:
                 # sort it out.
                 self._ensure_timer()
             return
-        entry.pre_prepare = msg
+        self.log.set_pre_prepare(msg.view, msg.seqno, msg)
         for request in msg.requests:
             key = request_key(request)
             self._pending.pop(key, None)
@@ -396,11 +399,21 @@ class ClbftReplica:
         )
         if self.log.add_checkpoint(checkpoint):
             self._stable_advanced()
+            self._propose_held()
         self._multicast(checkpoint)
 
     def _on_checkpoint(self, msg: Checkpoint) -> None:
         if self.log.add_checkpoint(msg):
             self._stable_advanced()
+            self._propose_held()
+
+    def _propose_held(self) -> None:
+        """The window slid: a primary the high watermark held back
+        proposes what waited, rather than idling until the view-change
+        timer replaces it."""
+        if self._window_full and self.is_primary and not self.in_view_change:
+            self._window_full = False
+            self._try_propose()
 
     def _stable_advanced(self) -> None:
         """The stable checkpoint moved: garbage-collect at-most-once
@@ -433,12 +446,7 @@ class ClbftReplica:
         # (e.g. re-issued after an equivocating or mute primary); the
         # abandoned view's copy will never execute and must not keep the
         # view-change timer armed forever.
-        last_executed = self.log.last_executed
-        return bool(self._pending) or any(
-            not entry.executed and entry.pre_prepare is not None
-            and seqno > last_executed
-            for (_view, seqno), entry in self.log._entries.items()
-        )
+        return bool(self._pending) or self.log.awaits_execution()
 
     def _ensure_timer(self) -> None:
         if self._awaiting_execution():
@@ -636,8 +644,7 @@ class ClbftReplica:
             self._stable_advanced()
         max_seen = min_s
         for pre_prepare in pre_prepares:
-            entry = self.log.entry(new_view, pre_prepare.seqno)
-            entry.pre_prepare = pre_prepare
+            self.log.set_pre_prepare(new_view, pre_prepare.seqno, pre_prepare)
             for request in pre_prepare.requests:
                 key = request_key(request)
                 self._pending.pop(key, None)

@@ -22,6 +22,8 @@ fixed-width integers, and ``bytes`` travel raw::
           | b"m" u8(len) kind u8(count) value* registered message
 
 Identifiers and registered messages carry their fields in declared order;
+an identifier decodes only with its declared field types (``str`` names,
+``int`` indices and seqnos, nested identifiers);
 :func:`register_message` adds a message class (``clbft.messages.register``
 is this decorator). Floats, non-``str`` dict keys and unregistered types do
 not encode.
@@ -33,8 +35,9 @@ serves both layers so that digests computed by different replicas agree.
 The decoder reads bytes from other principals, so it accepts only the
 canonical form: if ``decode_payload(b)`` returns ``v`` then
 ``canonical_encode(v) == b``. Anything else — a truncated length, trailing
-bytes, an unknown tag or kind, a wrong field count, unsorted or duplicate
-dict keys, a non-minimal int — raises
+bytes, an unknown tag or kind, a wrong field count, an identifier field
+of another type, unsorted or duplicate dict keys, a non-minimal int —
+raises
 :class:`~repro.common.errors.ProtocolError`.
 
 :class:`WireBlob` carries ``(bytes, digest)`` for a message that was
@@ -73,8 +76,9 @@ _NONE, _TRUE, _FALSE = b"n", b"T", b"F"
 
 #: Encoding plan per registered class: ``(header, field names)``.
 _PLANS: dict[type, tuple[bytes, tuple[str, ...]]] = {}
-#: Decoding tables: identifier tag byte / message kind -> class, field count.
-_ID_TAGS: dict[int, tuple[type, int]] = {}
+#: Decoding tables: identifier tag byte -> class, the type of each field;
+#: message kind -> class, field count.
+_ID_TAGS: dict[int, tuple[type, tuple[type, ...]]] = {}
 _KINDS: dict[bytes, tuple[type, int]] = {}
 
 
@@ -94,11 +98,15 @@ def register_message(cls: type) -> type:
     return cls
 
 
-for _cls, _tag in (
-    (ServiceId, b"S"), (ReplicaId, b"R"), (NodeId, b"N"),
-    (RequestId, b"Q"), (MessageId, b"M"),
+for _cls, _tag, _types in (
+    (ServiceId, b"S", (str,)),
+    (ReplicaId, b"R", (ServiceId, int)),
+    (NodeId, b"N", (ReplicaId, str)),
+    (RequestId, b"Q", (ServiceId, int)),
+    (MessageId, b"M", (str,)),
 ):
-    _ID_TAGS[_tag[0]] = (_cls, len(_field_names(_cls)))
+    assert len(_types) == len(_field_names(_cls))
+    _ID_TAGS[_tag[0]] = (_cls, _types)
     _PLANS[_cls] = (_tag, _field_names(_cls))
 
 
@@ -254,10 +262,15 @@ def _read(data: bytes, offset: int) -> tuple[Any, int]:
         return out, offset
     entry = _ID_TAGS.get(tag)
     if entry is not None:
-        cls, count = entry
+        cls, types = entry
         values = []
-        for _ in range(count):
+        for expected in types:
             value, offset = _read(data, offset)
+            if type(value) is not expected:
+                raise ValueError(
+                    f"{cls.__name__} field of type {type(value).__name__}, "
+                    f"not {expected.__name__}"
+                )
             values.append(value)
         return cls(*values), offset
     if tag == _NONE[0]:

@@ -26,8 +26,8 @@ Package layout:
 Contract: voters and drivers are deterministic protocol nodes speaking
 only through their ChannelAdapter (encode-once / digest-once, see
 ``docs/architecture.md``); with batching enabled they expose the
-``wants_flush``/``on_flush`` hooks the substrates call at tick/handler
-boundaries.
+``wants_flush``/``on_flush`` hooks the substrates call at the end of a
+tick (a handler on the simulator, a mailbox drain on a real clock).
 """
 
 from repro.perpetual.executor import (

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.clbft.config import GroupConfig
-from repro.clbft.messages import decode_message, encode_message
+from repro.clbft.messages import encode_message
 from repro.common.encoding import IdentityMemo
 from repro.common.ids import RequestId, RequestIdAllocator, ServiceId
 from repro.crypto.cost import CryptoCostModel, MAC_COST_MODEL
@@ -48,6 +48,7 @@ from repro.perpetual.messages import (
     ResultSubmission,
     UtilityRequest,
     ViewHint,
+    decode_perpetual,
     reply_auth_bytes,
 )
 from repro.common.metrics import METRICS
@@ -150,7 +151,7 @@ class DriverNode(ProtocolNode):
             charge=env.charge,
             cost_model=self._cost_model,
             encode=encode_message,
-            decode=decode_message,
+            decode=decode_perpetual,
             batching=self._batching,
             on_first_pending=(
                 None if window is None
@@ -189,20 +190,18 @@ class DriverNode(ProtocolNode):
         if self._fault is not None and not self._fault.deliver_ok(src):
             return
         if isinstance(msg, WireEnvelope):
-            self._on_envelope(msg)
+            decoded = self._channel.accept(msg)
+            if decoded is not None:
+                self._on_network(msg.auth.sender, decoded)
             return
         if isinstance(msg, BatchEnvelope):
-            for inner in self._channel.open_batch(msg):
-                self._on_envelope(inner)
+            for sender, _envelope, decoded in self._channel.open_batch(msg):
+                self._on_network(sender, decoded)
             return
         if isinstance(msg, AgreedEvent):
             self._on_agreed_event(msg)
 
-    def _on_envelope(self, envelope: WireEnvelope) -> None:
-        protocol_msg = self._channel.accept(envelope)
-        if protocol_msg is None:
-            return
-        sender = self._channel.sender_of(envelope)
+    def _on_network(self, sender: str, protocol_msg: Any) -> None:
         if isinstance(protocol_msg, ReplyBundle):
             self._on_reply_bundle(sender, protocol_msg)
         elif isinstance(protocol_msg, ViewHint):

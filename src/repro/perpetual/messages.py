@@ -27,7 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
-from repro.clbft.messages import ClientRequest, encode_message, register
+from repro.clbft.messages import (
+    ClientRequest,
+    decode_message,
+    encode_message,
+    register,
+)
+from repro.common.errors import ProtocolError
 from repro.common.ids import RequestId, ServiceId
 
 # Agreement item kinds (the "op" dict carries a matching "kind" field).
@@ -167,6 +173,35 @@ class AgreedEvent:
     KIND: ClassVar[str] = "perp-agreed-event"
     kind: str
     body: Any
+
+
+#: The identifier fields of the messages that cross the network, with the
+#: one type each may hold. The codec types an identifier's own fields but
+#: not a message's: a faulty sender with valid MACs could otherwise hand
+#: a voter a list where it hashes a request id.
+_ID_FIELDS: dict[type, tuple[tuple[str, type], ...]] = {
+    OutRequest: (
+        ("request_id", RequestId), ("caller", ServiceId), ("target", ServiceId),
+    ),
+    ReplyForward: (("request_id", RequestId),),
+    ReplyBundle: (("request_id", RequestId),),
+    ResultSubmission: (("request_id", RequestId),),
+}
+
+
+def decode_perpetual(data: bytes) -> Any:
+    """The protocol codec of voters and drivers: :func:`decode_message`,
+    refusing (:class:`ProtocolError`) a Perpetual message whose
+    identifier fields are not of their declared id types."""
+    # analysis: allow(WIRE001) — this is the codec the channel is handed
+    # (ChannelAdapter decode=), not a decode beside it
+    msg = decode_message(data)
+    for name, cls in _ID_FIELDS.get(type(msg), ()):
+        if type(getattr(msg, name)) is not cls:
+            raise ProtocolError(
+                f"{type(msg).__name__}.{name} is not a {cls.__name__}"
+            )
+    return msg
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,7 @@ from functools import lru_cache
 from typing import Any
 
 from repro.clbft.config import GroupConfig
-from repro.clbft.messages import (
-    ClientRequest,
-    PrePrepare,
-    decode_message,
-    encode_message,
-)
+from repro.clbft.messages import ClientRequest, PrePrepare, encode_message
 from repro.clbft.replica import VIEW_CHANGE_TIMER, ClbftReplica
 from repro.common.encoding import IdentityMemo, wire_blob
 from repro.common.errors import ProtocolError
@@ -60,6 +55,7 @@ from repro.perpetual.messages import (
     UtilityRequest,
     ViewHint,
     abort_item,
+    decode_perpetual,
     item_kind,
     reply_auth_bytes,
     request_item,
@@ -149,7 +145,7 @@ def _decode_request(payload: bytes) -> OutRequest | None:
         # analysis: allow(WIRE001) — an item payload arrives inside an
         # agreement message, not through a channel, so there is no
         # accept() memo to share; memoized per payload object instead
-        request = decode_message(payload)
+        request = decode_perpetual(payload)
     except ProtocolError:
         return None
     return request if isinstance(request, OutRequest) else None
@@ -219,7 +215,7 @@ class VoterNode(ProtocolNode):
         self._keys = keys
         self._cost_model = cost_model
         self._batching = batching
-        # Tick mode: the hosting substrate flushes after every handler.
+        # Tick mode: the hosting substrate flushes at the end of a tick.
         self.wants_flush = batching == "tick"
         spec = topology.spec(service)
         overrides = clbft_overrides or {}
@@ -287,7 +283,7 @@ class VoterNode(ProtocolNode):
             charge=env.charge,
             cost_model=self._cost_model,
             encode=encode_message,
-            decode=decode_message,
+            decode=decode_perpetual,
             batching=self._batching,
             # Window mode: arm the flush timer when the first message
             # buffers; tick mode flushes via on_flush instead.
@@ -349,12 +345,14 @@ class VoterNode(ProtocolNode):
         if self._fault is not None and not self._fault.deliver_ok(src):
             return
         if isinstance(msg, WireEnvelope):
-            self._on_network(msg)
+            decoded = self._channel.accept(msg)
+            if decoded is not None:
+                self._on_network(msg.auth.sender, msg, decoded)
         elif isinstance(msg, BatchEnvelope):
             # One MAC verification for the whole batch, then the inner
-            # envelopes dispatch exactly as if they arrived unbatched.
-            for inner in self._channel.open_batch(msg):
-                self._on_network(inner)
+            # messages dispatch exactly as if they arrived unbatched.
+            for sender, envelope, decoded in self._channel.open_batch(msg):
+                self._on_network(sender, envelope, decoded)
         else:
             self._on_local(msg)
 
@@ -371,14 +369,14 @@ class VoterNode(ProtocolNode):
 
     # -- network messages ---------------------------------------------------
 
-    def _on_network(self, envelope: WireEnvelope) -> None:
-        # The channel's codec decodes straight to protocol messages.
-        msg = self._channel.accept(envelope)
-        if msg is None:
-            return
-        sender = self._channel.sender_of(envelope)
+    def _on_network(
+        self, sender: str, envelope: WireEnvelope | None, msg: Any
+    ) -> None:
+        """An authenticated message from ``sender``; ``envelope`` is its
+        own, or ``None`` for a plain batch item."""
         if isinstance(msg, OutRequest):
-            self._on_out_request(sender, envelope, msg)
+            if envelope is not None:  # a stage-1 copy must carry its proof
+                self._on_out_request(sender, envelope, msg)
         elif isinstance(msg, ReplyForward):
             self._on_reply_forward(sender, msg)
         elif isinstance(msg, ResultSubmission):

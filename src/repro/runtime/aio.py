@@ -98,9 +98,9 @@ class AioCluster(NodeHost):
 
     async def _consume(self, key: str) -> None:
         inbox = self._inboxes[key]
-        item = (START, None, None)
+        item, left = (START, None, None), 0
         while item is not _STOP:
-            self.step(key, *item)
+            left = self.handle(key, item, left, inbox.qsize)
             self.unprocessed -= 1
             item = await inbox.get()
 

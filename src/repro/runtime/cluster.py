@@ -113,9 +113,9 @@ class ThreadedCluster(NodeHost):
 
     def _run_node(self, key: str) -> None:
         mailbox = self._mailboxes[key]
-        item = (START, None, None)
+        item, left = (START, None, None), 0
         while item is not _STOP:
-            self.step(key, *item)
+            left = self.handle(key, item, left, mailbox.qsize)
             with self._cv:
                 self.unprocessed -= 1
             item = mailbox.get()

@@ -7,8 +7,10 @@ surface of :class:`repro.sim.kernel.SimNodeEnv` (``now_us``, ``now_ms``,
 ``charge``, ``send``, ``local_deliver``, ``set_timer``,
 ``cancel_timer``, ``timer_armed``) — over a :class:`NodeHost`, which
 owns the node table, the one :class:`TimerHeap`, the monotone clock,
-per-node error lists, the start → handle → flush → record-error
-:meth:`~NodeHost.step`, and the exact count of *unprocessed* events.
+per-node error lists, the start → handle → record-error
+:meth:`~NodeHost.step`, the tick-batching flush at the end of a mailbox
+drain (:meth:`~NodeHost.handle`), and the exact count of *unprocessed*
+events.
 
 A *scheduler* subclasses the host and supplies only the mailbox type
 and what blocks: :class:`repro.runtime.cluster.ThreadedCluster`
@@ -18,11 +20,24 @@ node + one ``call_later`` wake) and the process worker's
 ``_WorkerHost`` (a ``deque`` + ``conn.poll``). ``charge`` is a no-op on
 all of them: real CPU time is real.
 
+Tick batching means one mailbox *drain* here, where the simulator's
+kernel flushes after every handler. A drain begins with the first event
+a node takes after its previous drain ended and takes in the events
+already queued behind that one; it ends once the last of them has been
+handled — by then the mailbox has been empty or the node has handled as
+many events as were waiting when the drain began. The second bound
+keeps a node that is posted to faster than it handles (a threaded node
+under continuous load) from holding its output back forever. A node's
+channel flushes once per drain, so everything it sends to one
+destination in a drain leaves as one batch under one MAC vector.
+
 Quiescence is exact, not sampled. ``unprocessed`` counts every event
 from the moment it is posted (a node's pending ``on_start`` included)
-until its handler has returned, so a handler that is mid-run — mailbox
-already empty, state not yet updated — still counts, and whatever it
-posts or arms is counted before it stops counting itself. A scheduler
+until its handler has returned — and, for the last event of a drain,
+until the drain's flush has returned too — so a handler that is mid-run
+(mailbox already empty, state not yet updated) or output still held for
+a flush keeps the count above zero, and whatever a node posts or arms
+is counted before it stops counting itself. A scheduler
 with real threads must change the count and the timer heap under one
 lock (see ``ThreadedCluster``), which is what makes :meth:`NodeHost
 .idle` a consistent snapshot there too.
@@ -32,7 +47,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.sim.kernel import ProtocolNode
 
@@ -137,9 +152,11 @@ class NodeHost:
     """Node table, timer heap, clock, errors and the event step.
 
     Subclasses (the schedulers) implement :meth:`post` and decide when
-    :meth:`step` runs; they keep ``unprocessed`` in step with their
+    an event runs — through :meth:`handle` for a node with its own
+    mailbox, or :meth:`step` and :meth:`end_drain` for a scheduler that
+    drains a shared one; they keep ``unprocessed`` in step with their
     mailboxes — plus one when an event is enqueued, minus one when its
-    :meth:`step` has returned.
+    handling (and any drain-end flush) has returned.
     """
 
     def __init__(self) -> None:
@@ -194,14 +211,7 @@ class NodeHost:
         return self.timers.pop_due(time.monotonic())
 
     def step(self, key: str, kind: str, src: Any, payload: Any) -> None:
-        """Run one event on ``key``'s node, then its flush hook.
-
-        Tick batching: a handler's buffered channel output is released
-        as soon as the handler returns — one mailbox dequeue is the
-        real-clock analogue of a kernel tick. (Window batching instead
-        arms a flush timer through ``set_timer``, which arrives here as
-        a timer event like any other.)
-        """
+        """Run one event on ``key``'s node, recording what it raises."""
         node = self.nodes[key]
         try:
             if kind == MSG:
@@ -210,10 +220,47 @@ class NodeHost:
                 node.on_timer(payload)
             else:
                 node.on_start()
-            if node.wants_flush:
-                node.on_flush()
         except Exception as exc:  # a faulty node must not kill its scheduler
             self._errors[key].append(exc)
+
+    def end_drain(self, key: str) -> None:
+        """``key``'s mailbox drain ended: release its tick-batched output.
+
+        A scheduler calls this before it stops counting the drain's last
+        event as unprocessed. (Window batching instead arms a flush timer
+        through ``set_timer``, which arrives as a timer event like any
+        other.)
+        """
+        node = self.nodes[key]
+        if node.wants_flush:
+            try:
+                node.on_flush()
+            except Exception as exc:
+                self._errors[key].append(exc)
+
+    def handle(self, key: str, item: tuple, left: int,
+               queued: Callable[[], int]) -> int:
+        """Run ``item`` as part of ``key``'s current drain; return how many
+        events of the drain are left after it.
+
+        ``left`` is what the previous call for ``key`` returned (0 before
+        the first): at 0, ``item`` begins a drain, which takes in the
+        ``queued()`` events waiting behind it in the node's own mailbox.
+        When none is left the drain ends (:meth:`end_drain`), still
+        inside ``item``'s unprocessed count, which the caller drops only
+        after this returns. A node that does not tick-flush only steps:
+        its drains are never counted.
+        """
+        if not self.nodes[key].wants_flush:
+            self.step(key, *item)
+            return 0
+        if not left:
+            left = queued() + 1
+        self.step(key, *item)
+        left -= 1
+        if not left:
+            self.end_drain(key)
+        return left
 
     def errors(self) -> list[BaseException]:
         """Exceptions raised inside node handlers, in node order."""

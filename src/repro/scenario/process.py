@@ -143,7 +143,9 @@ class _WorkerHost(NodeHost):
 
     The mailbox is one ``deque`` of ``(src, dst, msg)`` for both nodes;
     what blocks is ``conn.poll`` — until the next frame arrives or the
-    timer heap's next deadline, whichever is sooner.
+    timer heap's next deadline, whichever is sooner. One drain of the
+    shared mailbox is the events queued when it began plus the timers
+    then due; both nodes' tick batching flushes at its end.
     """
 
     def __init__(self, conn: Connection) -> None:
@@ -169,14 +171,23 @@ class _WorkerHost(NodeHost):
         self.frames_sent += 1
 
     def _deliver_local(self) -> None:
+        """Drain the mailbox, and what the drains post to it, until empty."""
         local = self.local
-        while local:
-            src, dst, msg = local.popleft()
-            if dst in self.nodes:
-                self.step(dst, MSG, src, msg)
-            self.unprocessed -= 1
-        for key, tag in self.due_timers():
-            self.step(key, TIMER, None, tag)
+        while True:
+            count = len(local)
+            for _ in range(count):
+                src, dst, msg = local.popleft()
+                if dst in self.nodes:
+                    self.step(dst, MSG, src, msg)
+            due = self.due_timers()
+            for key, tag in due:
+                self.step(key, TIMER, None, tag)
+            if count or due:
+                for key in self.nodes:
+                    self.end_drain(key)
+            self.unprocessed -= count
+            if not local:
+                return
 
     def loop(self, stats) -> None:
         """Serve frames and timers until the parent says stop."""
@@ -223,7 +234,9 @@ class _WorkerHost(NodeHost):
                     self.restart_clock()
                     for key in self.nodes:
                         self.step(key, START, None, None)
-                        self.unprocessed -= 1
+                    for key in self.nodes:
+                        self.end_drain(key)
+                    self.unprocessed -= len(self.nodes)
                 elif kind == "poll":
                     self.conn.send_bytes(_frame("stats", stats()))
                 elif kind == "stop":

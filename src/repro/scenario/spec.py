@@ -235,8 +235,9 @@ class ScenarioSpec:
     #: Optional simulator event budget (None = unbounded).
     max_events: int | None = None
     #: Channel-layer batching: ``"off"`` (one envelope per message),
-    #: ``"tick"`` (aggregate per destination within one kernel tick /
-    #: handler invocation), or a positive integer flush window in µs
+    #: ``"tick"`` (aggregate per destination within one tick: a handler
+    #: invocation on the simulator, a mailbox drain on the real-clock
+    #: substrates), or a positive integer flush window in µs
     #: (buffered messages flush when the window timer fires). See
     #: ``docs/scenarios.md``.
     batching: str | int = "off"

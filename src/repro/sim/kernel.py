@@ -55,9 +55,10 @@ class Event:
 class ProtocolNode:
     """Base class for everything that lives on the simulated network."""
 
-    #: True for nodes that buffer channel output until end-of-handler
-    #: (tick batching): every substrate calls :meth:`on_flush` after each
-    #: handler invocation on such nodes, and only on such nodes.
+    #: True for nodes that buffer channel output until the end of a tick
+    #: (tick batching): the simulator calls :meth:`on_flush` after each
+    #: handler invocation on such nodes, the real-clock schedulers at the
+    #: end of each mailbox drain, and only on such nodes.
     wants_flush = False
 
     def on_message(self, src: Any, msg: Any) -> None:
@@ -70,7 +71,7 @@ class ProtocolNode:
         """Hook invoked once when the simulation starts."""
 
     def on_flush(self) -> None:
-        """End-of-handler hook (see :attr:`wants_flush`); default no-op."""
+        """End-of-tick hook (see :attr:`wants_flush`); default no-op."""
 
 
 class NodeCpu:

@@ -37,23 +37,23 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.common.encoding import IdentityMemo, decode_payload, wire_blob
+from repro.common.errors import ProtocolError
 from repro.common.metrics import METRICS
-from repro.crypto.auth import Authenticator, AuthenticatorFactory
+from repro.crypto.auth import AuthenticatorFactory
 from repro.crypto.cost import CryptoCostModel, MAC_COST_MODEL
 from repro.crypto.keys import KeyStore
 from repro.transport.connection import Connection
-from repro.transport.wire import BatchEnvelope, WireEnvelope, batch_frame
+from repro.transport.wire import BatchEnvelope, WireEnvelope, signed_batch
 
 #: Timer tag nodes use for window-mode flushing (``batching=<window_us>``):
 #: armed via ``on_first_pending`` when the first message buffers, handled
 #: in the node's ``on_timer`` by calling :meth:`ChannelAdapter.flush`.
 CHANNEL_FLUSH_TAG = "channel-flush"
 
-#: Synthesized envelopes for plain batch items, keyed on the payload bytes
-#: object: every destination's batch of one multicast references the same
-#: bytes object (in-process substrates), so co-addressed receivers share
-#: one synthesized envelope — and through it the decode-once memo.
-_BATCH_ITEM_ENVELOPES = IdentityMemo()
+#: Decoded plain batch items, keyed on the payload bytes object: every
+#: destination's batch of one multicast references the same bytes object
+#: (in-process substrates), so co-addressed receivers decode it once.
+_PLAIN_ITEM_DECODES = IdentityMemo()
 
 
 class ChannelAdapter:
@@ -92,7 +92,8 @@ class ChannelAdapter:
         self._decode = decode or decode_payload
         #: ``off`` | ``tick`` | positive int (flush window in µs). The
         #: adapter only buffers; *when* flush happens is the substrate's
-        #: business (end of kernel tick / handler / window timer).
+        #: business (end of a handler on the simulator, of a mailbox
+        #: drain on a real clock, or a window timer).
         self.batching = batching
         self._buffering = batching != "off"
         self._on_first_pending = on_first_pending
@@ -219,9 +220,9 @@ class ChannelAdapter:
                     for op in ops
                 )
                 self._charge(self._cost.authenticator_cost_us(1))
-                auth = self._auth.sign(batch_frame(items), [dst])
+                batch = signed_batch(items, self._auth, dst)
                 self._charge(self._wire_cpu_us)
-                transmit(dst, BatchEnvelope(items=items, auth=auth))
+                transmit(dst, batch)
                 METRICS.batches_sent += 1
                 METRICS.batch_messages += len(items)
             METRICS.envelopes_sent += 1
@@ -238,8 +239,9 @@ class ChannelAdapter:
         """Verify and decode an incoming envelope.
 
         Returns the decoded protocol message, or ``None`` if verification
-        failed (the envelope is silently dropped, as a correct CLBFT
-        replica does with unauthenticated input).
+        or decoding failed (the envelope is dropped and counted as
+        rejected, as a correct CLBFT replica does with unauthenticated
+        input).
 
         Decoding is memoized on the envelope: a multicast delivers one
         envelope object to every co-resident receiver, so later receivers
@@ -247,57 +249,61 @@ class ChannelAdapter:
         receivers must treat messages as immutable, which replica
         determinism already demands.
         """
-        if getattr(envelope, "_preverified", False):
-            # A plain batch item: the batch MAC already authenticated it
-            # (in open_batch, charged once per batch).
-            self.received_count += 1
-        else:
-            self._charge(self._accept_charge_us)
-            if not self._auth.verify_prehashed(
-                envelope.payload_digest, envelope.auth
-            ):
-                self.rejected_count += 1
-                return None
-            self.received_count += 1
+        self._charge(self._accept_charge_us)
+        if not self._auth.verify_prehashed(envelope.payload_digest, envelope.auth):
+            self.rejected_count += 1
+            return None
         # Memo keyed by decoder: receivers with a different codec (mixed
         # deployments) re-decode rather than alias the wrong object form.
         memo = getattr(envelope, "_decoded", None)
         if memo is not None and memo[0] is self._decode:
+            self.received_count += 1
             return memo[1]
-        decoded = self._decode(envelope.payload)
+        try:
+            decoded = self._decode(envelope.payload)
+        except ProtocolError:
+            # Authentic but not a message: the sender is faulty.
+            self.rejected_count += 1
+            return None
         object.__setattr__(envelope, "_decoded", (self._decode, decoded))
+        self.received_count += 1
         return decoded
 
-    def open_batch(self, batch: BatchEnvelope) -> list[WireEnvelope]:
-        """Verify a batch MAC once and unpack the inner envelopes.
+    def open_batch(
+        self, batch: BatchEnvelope
+    ) -> list[tuple[str, WireEnvelope | None, Any]]:
+        """Verify a batch MAC once and open its items in send order.
 
-        Returns the inner envelopes in send order, ready for
-        :meth:`accept` — embedded items verify their own full-audience
-        authenticator there; plain items are marked pre-verified (the
-        single batch verification just vouched for them) so accept skips
-        the per-message MAC. An empty list means the batch MAC failed and
-        every inner message was dropped.
+        Each item that passes comes back as ``(sender, envelope,
+        message)``. An embedded item is checked by :meth:`accept` against
+        its own full-audience authenticator and keeps its envelope (the
+        stage-1 proof path relays it). A plain item has no envelope of its
+        own (``None``): the one batch verification vouched for it, and its
+        decode is shared by every receiver of the same payload object. An
+        empty list means the batch MAC failed and every inner message was
+        dropped.
         """
         self._charge(self._accept_charge_us)
         if not self._auth.verify_prehashed(batch.batch_digest, batch.auth):
             self.rejected_count += len(batch.items)
             return []
         sender = batch.auth.sender
+        decode = self._decode
         out = []
         for kind, value in batch.items:
             if kind == "e":
-                out.append(value)
+                message = self.accept(value)
+                if message is not None:
+                    out.append((value.auth.sender, value, message))
                 continue
-
-            def synthesize(payload: bytes, _sender: str = sender) -> WireEnvelope:
-                env = WireEnvelope(
-                    payload=payload,
-                    auth=Authenticator(sender=_sender, entries=()),
-                )
-                object.__setattr__(env, "_preverified", True)
-                return env
-
-            out.append(_BATCH_ITEM_ENVELOPES.get(value, synthesize))
+            try:
+                memo = _PLAIN_ITEM_DECODES.get(value, lambda p: (decode, decode(p)))
+                message = memo[1] if memo[0] is decode else decode(value)
+            except ProtocolError:
+                self.rejected_count += 1
+                continue
+            self.received_count += 1
+            out.append((sender, None, message))
         return out
 
     def sender_of(self, envelope: WireEnvelope | BatchEnvelope) -> str:

@@ -65,6 +65,33 @@ class WireEnvelope:
         return cached
 
 
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+#: A kind byte and a u32 length: the head of a plain item or envelope.
+_pack_item_head = struct.Struct(">BI").pack
+_PLAIN, _ENVELOPE = b"p"[0], b"e"[0]
+
+
+def _auth_parts(auth: Authenticator, append) -> None:
+    sender = auth.sender.encode()
+    append(_U16.pack(len(sender)))
+    append(sender)
+    append(_U16.pack(len(auth.entries)))
+    for name, tag in auth.entries:
+        encoded = name.encode()
+        append(_U16.pack(len(encoded)))
+        append(encoded)
+        append(_U16.pack(len(tag)))
+        append(tag)
+
+
+def _envelope_parts(envelope: WireEnvelope, append) -> None:
+    payload = envelope.payload
+    append(_pack_item_head(_ENVELOPE, len(payload)))
+    append(payload)
+    _auth_parts(envelope.auth, append)
+
+
 #: Wire marker distinguishing a batch from a plain envelope: a plain
 #: envelope's first wire element is the payload *bytes*, so a string tag
 #: can never collide with it.
@@ -74,26 +101,22 @@ BATCH_WIRE_TAG = "__batch__"
 def batch_frame(items: tuple) -> bytes:
     """Deterministic byte framing of a batch's items, the MAC input.
 
-    Length-prefixed so no item boundary is ambiguous: the batch MAC
-    covers every inner payload (and, for embedded envelopes, the inner
-    authenticator too), so a faulty relay cannot re-segment, reorder, or
-    splice items without the single batch verification failing.
+    Exactly the ``item*`` run of the binary wire form below, built in
+    one pass: length-prefixed and counted, so no item boundary is
+    ambiguous. The batch MAC covers every inner payload (and, for
+    embedded envelopes, the inner authenticator too), so a faulty relay
+    cannot re-segment, reorder, or splice items without the single
+    batch verification failing.
     """
     parts: list[bytes] = []
     append = parts.append
+    plain = _pack_item_head
     for kind, value in items:
         if kind == "p":
-            append(b"p" + len(value).to_bytes(4, "big"))
+            append(plain(_PLAIN, len(value)))
             append(value)
         else:
-            append(b"e" + len(value.payload).to_bytes(4, "big"))
-            append(value.payload)
-            sender = value.auth.sender.encode()
-            append(len(sender).to_bytes(2, "big") + sender)
-            for name, tag in value.auth.entries:
-                encoded = name.encode()
-                append(len(encoded).to_bytes(2, "big") + encoded)
-                append(len(tag).to_bytes(2, "big") + tag)
+            _envelope_parts(value, append)
     return b"".join(parts)
 
 
@@ -132,13 +155,34 @@ class BatchEnvelope:
         return cached
 
     @property
+    def frame(self) -> bytes:
+        """:func:`batch_frame` of the items, built once per batch object
+        (by the signer, or cut from the received bytes)."""
+        cached = getattr(self, "_frame", None)
+        if cached is None:
+            cached = batch_frame(self.items)
+            object.__setattr__(self, "_frame", cached)
+        return cached
+
+    @property
     def batch_digest(self) -> bytes:
         """SHA-256 over the framed items, computed once per batch."""
         cached = getattr(self, "_batch_digest", None)
         if cached is None:
-            cached = digest(batch_frame(self.items))
+            cached = digest(self.frame)
             object.__setattr__(self, "_batch_digest", cached)
         return cached
+
+
+def signed_batch(items: tuple, signer, dst: str) -> BatchEnvelope:
+    """A batch of ``items`` for ``dst``, signed by ``signer`` (an
+    :class:`~repro.crypto.auth.AuthenticatorFactory`) over its frame.
+    The frame is kept for the receiver's digest and the wire form, so
+    each side frames the items once."""
+    frame = batch_frame(items)
+    batch = BatchEnvelope(items=items, auth=signer.sign(frame, [dst]))
+    object.__setattr__(batch, "_frame", frame)
+    return batch
 
 
 def envelope_to_wire(envelope: WireEnvelope | BatchEnvelope) -> list:
@@ -183,8 +227,8 @@ def envelope_from_wire(data: list) -> WireEnvelope | BatchEnvelope:
 # The binary form: what a transport hop carries
 # ---------------------------------------------------------------------------
 #
-# The length-prefixed layout of ``batch_frame`` plus the entry and item
-# counts it lacks to be parseable (all integers big-endian)::
+# All integers big-endian; a batch's ``item*`` run is its
+# :func:`batch_frame`, carried as framed::
 #
 #     envelope = b"e" u32(len payload) payload auth
 #     batch    = b"b" auth u32(len items) item*
@@ -194,29 +238,6 @@ def envelope_from_wire(data: list) -> WireEnvelope | BatchEnvelope:
 #
 # Payloads and MAC tags travel raw, names as UTF-8. The plain-data form
 # above is the reference the tests compare this one against.
-
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-
-
-def _auth_parts(auth: Authenticator, append) -> None:
-    sender = auth.sender.encode()
-    append(_U16.pack(len(sender)))
-    append(sender)
-    append(_U16.pack(len(auth.entries)))
-    for name, tag in auth.entries:
-        encoded = name.encode()
-        append(_U16.pack(len(encoded)))
-        append(encoded)
-        append(_U16.pack(len(tag)))
-        append(tag)
-
-
-def _envelope_parts(envelope: WireEnvelope, append) -> None:
-    payload = envelope.payload
-    append(b"e" + _U32.pack(len(payload)))
-    append(payload)
-    _auth_parts(envelope.auth, append)
 
 
 def envelope_to_bytes(envelope: WireEnvelope | BatchEnvelope) -> bytes:
@@ -232,12 +253,7 @@ def envelope_to_bytes(envelope: WireEnvelope | BatchEnvelope) -> bytes:
         append(b"b")
         _auth_parts(envelope.auth, append)
         append(_U32.pack(len(envelope.items)))
-        for kind, value in envelope.items:
-            if kind == "p":
-                append(b"p" + _U32.pack(len(value)))
-                append(value)
-            else:
-                _envelope_parts(value, append)
+        append(envelope.frame)
     else:
         _envelope_parts(envelope, append)
     return b"".join(parts)
@@ -297,6 +313,7 @@ def envelope_from_bytes(
             auth, end = _read_auth(data, offset + 1)
             (count,) = _U32.unpack_from(data, end)
             end += 4
+            start = end
             items = []
             for _ in range(count):
                 kind = data[end:end + 1]
@@ -309,6 +326,7 @@ def envelope_from_bytes(
                 else:
                     raise ProtocolError(f"unknown batch item kind {kind!r}")
             envelope = BatchEnvelope(items=tuple(items), auth=auth)
+            object.__setattr__(envelope, "_frame", data[start:end])
         else:
             raise ProtocolError(f"unknown envelope kind {kind!r}")
     except (struct.error, UnicodeDecodeError) as exc:

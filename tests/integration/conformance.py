@@ -18,7 +18,10 @@ its capability:
   change and the workload still completes (fault hooks + liveness);
 - **batching-window-4** — tick batching on the window-4 async two-tier
   workload genuinely aggregates (flush hooks: fewer envelopes, each
-  batch amortising one MAC vector over several messages);
+  batch amortising one MAC vector over several messages; on a real
+  clock, where ``tick`` is one mailbox drain, at most
+  :data:`TICK_MAC_RATIO` of the MAC computations of the same run with
+  batching off);
 - **sharded-echo** — a group-closed 2-group scenario with per-group
   metric labels and routed-request counters (router injection);
 - **sharded-cross** — a consistent-hash top-level client homed on g1
@@ -54,6 +57,13 @@ WINDOW_CALLS = 8
 SHARDED_CALLS = 4
 CROSS_CALLS = 3
 RESTART_CALLS = 300
+
+#: batching-window-4 on a real-clock substrate: MAC computations per
+#: completed call with ``tick``, at most this fraction of ``off``'s. A
+#: flush after every handler (the simulator's tick) stays near 0.77;
+#: one flush per mailbox drain measured 0.50 (asyncio) to 0.61
+#: (threaded, racy interleaving).
+TICK_MAC_RATIO = 0.7
 
 
 def run_on(runtime, spec, until_s: float = 90):
@@ -110,14 +120,22 @@ def check_batching_window_4(runtime) -> None:
         total_calls=WINDOW_CALLS,
         window=4,
         name=f"conf-batch-{runtime}",
-    ).with_(batching="tick")
-    metrics = run_on(runtime, spec)
+    )
+    metrics = run_on(runtime, spec.with_(batching="tick"))
     assert metrics.services["caller"].completed_calls == WINDOW_CALLS
     assert metrics.services["caller"].aborted_calls == 0
     # Genuine aggregation through the substrate's flush hook: batches on
     # the wire, each amortising its single MAC vector over >1 message.
     assert metrics.counters["batches_sent"] > 0
     assert metrics.counters["batch_messages"] > metrics.counters["batches_sent"]
+    if runtime == "sim":
+        return
+    unbatched = run_on(runtime, spec.with_(batching="off"))
+    assert unbatched.services["caller"].completed_calls == WINDOW_CALLS
+    assert (
+        metrics.counters["mac_computations"]
+        <= TICK_MAC_RATIO * unbatched.counters["mac_computations"]
+    )
 
 
 def assert_sharded_echo_shape(metrics, total_calls: int = SHARDED_CALLS):

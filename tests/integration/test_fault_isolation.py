@@ -14,8 +14,8 @@ Three scenarios:
 from repro.clbft.messages import decode_message, encode_message
 from repro.common.ids import RequestId, ServiceId
 from repro.crypto.auth import AuthenticatorFactory
-from repro.perpetual.messages import OutRequest
-from repro.perpetual.voter import voter_name
+from repro.perpetual.messages import OutRequest, ReplyBundle
+from repro.perpetual.voter import driver_name, voter_name
 from repro.sim.network import LanModel, PartitionModel
 from repro.transport.wire import WireEnvelope
 from repro.scenario.sim import Deployment
@@ -93,6 +93,64 @@ class TestRequestInjection:
         deployment.run(seconds=30)
         for voter in target.group.voters:
             assert voter.delivered_requests == baseline
+
+
+class TestIllTypedIdentifiers:
+    """A faulty principal with valid MACs sends canonically encoded
+    messages whose identifier fields have the wrong types. Every receiver
+    drops them as rejected input; the run goes on and completes."""
+
+    @staticmethod
+    def _inject(deployment, sender, receivers, message):
+        payload = encode_message(message)
+        auth = AuthenticatorFactory(deployment.keys, sender).sign(
+            payload, receivers
+        )
+        envelope = WireEnvelope(payload=payload, auth=auth)
+        for receiver in receivers:
+            deployment.sim.post_message(sender, receiver, envelope, 512)
+
+    def test_ill_typed_ids_are_rejected_not_raised(self):
+        deployment, results, caller, target = build_two_tier(4, 4, calls=2)
+        deployment.run(seconds=30)
+        baseline = target.group.voters[0].delivered_requests
+        voters = [voter_name("target", i) for i in range(4)]
+        faulty_driver = driver_name("caller", 3)
+        ill_typed = [
+            # A list where a RequestId belongs.
+            OutRequest(
+                request_id=["x", 1],
+                caller=ServiceId("caller"),
+                target=ServiceId("target"),
+                payload=b"<ill-typed/>",
+                responder_index=0,
+            ),
+            # A ServiceId whose name is a list, inside the request id
+            # and as the caller.
+            OutRequest(
+                request_id=RequestId(ServiceId(["caller"]), 5),
+                caller=ServiceId(["caller"]),
+                target=ServiceId("target"),
+                payload=b"<ill-typed/>",
+                responder_index=0,
+            ),
+        ]
+        for message in ill_typed:
+            self._inject(deployment, faulty_driver, voters, message)
+        # A faulty target voter answers the callers with a bundle whose
+        # request id is a list.
+        drivers = [driver_name("caller", i) for i in range(4)]
+        self._inject(
+            deployment, voter_name("target", 3), drivers,
+            ReplyBundle(request_id=["x", 1], result=None, vouchers=()),
+        )
+        deployment.run(seconds=30)
+        for voter in target.group.voters:
+            assert voter.delivered_requests == baseline
+            assert voter._channel.rejected_count == len(ill_typed)
+        for driver in caller.group.drivers:
+            assert driver._channel.rejected_count == 1
+            assert driver.completed_calls == 2
 
 
 class TestCrashFaults:

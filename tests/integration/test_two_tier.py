@@ -68,3 +68,31 @@ def test_throughput_counters_exposed():
     assert driver.completed_calls == 3
     assert driver.first_issue_us is not None
     assert driver.last_completion_us > driver.first_issue_us
+
+
+def test_full_watermark_window_resumes_at_the_next_stable_checkpoint():
+    """A primary whose watermark window fills proposes again as soon as
+    a stable checkpoint slides the window, not when the view-change
+    timer replaces it. Window 10 against a log window of two seqnos
+    with a checkpoint at every seqno keeps the target primary at its
+    high watermark all run long."""
+    from dataclasses import replace
+
+    from repro.scenario.presets import two_tier_scenario
+    from repro.scenario.runtime import get_runtime
+
+    spec = two_tier_scenario(4, 4, total_calls=60, window=10, name="narrow-log")
+    narrow = {"log_window": 2, "checkpoint_interval": 1}
+    spec = spec.with_(
+        services=tuple(replace(d, clbft=narrow) for d in spec.services)
+    )
+    runtime = get_runtime("sim")
+    runtime.deploy(spec)
+    runtime.run(until_s=60)
+    metrics = runtime.metrics()
+    caller = metrics.services["caller"]
+    assert caller.completed_calls == 60
+    assert metrics.counters["view_changes"] == 0
+    assert metrics.counters["retransmissions"] == 0
+    # 65,676 simulated µs; a stall until the view-change timer took 816,409.
+    assert caller.last_completion_us < 100_000

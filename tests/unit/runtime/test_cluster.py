@@ -17,10 +17,14 @@ import pytest
 
 from repro.common.encoding import canonical_encode
 from repro.common.errors import ConfigurationError
+from repro.crypto.keys import KeyStore
 from repro.runtime.aio import AioCluster
 from repro.runtime.cluster import ThreadedCluster
 from repro.scenario.process import _WorkerHost
 from repro.sim.kernel import ProtocolNode
+from repro.transport.channel import ChannelAdapter
+from repro.transport.connection import SimConnection
+from repro.transport.wire import BatchEnvelope
 
 
 class Collector(ProtocolNode):
@@ -281,6 +285,115 @@ class TestQuiescence:
         assert env.now_ms() >= 0
 
 
+class Forwarder(Collector):
+    """Sends every message it handles on to ``sink`` through a channel
+    that batches on the host's tick (``wants_flush``), or not at all
+    (``batching="off"``); each message below ``feed`` also posts the
+    next one to itself, so its mailbox never runs dry until then."""
+
+    def __init__(self, host, batching="tick", feed=0):
+        super().__init__()
+        self.host = host
+        self.wants_flush = batching == "tick"
+        self.feed = feed
+        #: Messages pending at each flush, and whether idle() held then.
+        self.flushes = []
+        self.idle_at_flush = []
+        self.env = host.add_node("fwd", self)
+        self.channel = ChannelAdapter(
+            "fwd", KeyStore.for_deployment("drain-test"),
+            SimConnection(self.env), batching=batching,
+        )
+
+    def on_message(self, src, n):
+        super().on_message(src, n)
+        self.channel.send("sink", n)
+        if n < self.feed:
+            self.env.local_deliver("fwd", n + 1)
+
+    def on_flush(self):
+        self.idle_at_flush.append(self.host.idle())
+        self.flushes.append(self.channel.pending_count)
+        self.channel.flush()
+
+
+def received(sink):
+    """The messages ``sink`` got, batches opened, in arrival order."""
+    return [
+        len(msg.items) if isinstance(msg, BatchEnvelope) else 1
+        for _, msg in sink.messages
+    ]
+
+
+class TestDrainBatching:
+    """Tick batching on a real clock: one flush per mailbox drain."""
+
+    scheduler = "threaded"
+
+    def test_queued_events_leave_as_one_batch(self, harness):
+        k = 6
+        fwd = Forwarder(harness.host)
+        sink = Collector()
+        harness.host.add_node("sink", sink)
+        source = harness.host.add_node("src", Collector())
+        for n in range(k):
+            source.send("fwd", 100 + n)
+        assert harness.run(lambda: sink.messages and harness.host.idle())
+        (sender, batch), = sink.messages
+        assert sender == "fwd" and isinstance(batch, BatchEnvelope)
+        assert len(batch.items) == k
+        assert [f for f in fwd.flushes if f] == [k]
+
+    def test_continuous_posting_flushes_within_the_drain_bound(self, harness):
+        """The mailbox never empties while the node feeds itself, yet its
+        output leaves every drain: no flush holds more messages than
+        were queued when its drain began, plus the one that began it."""
+        queued, total = 5, 60
+        fwd = Forwarder(harness.host, feed=total)
+        sink = Collector()
+        harness.host.add_node("sink", sink)
+        source = harness.host.add_node("src", Collector())
+        for n in range(queued):
+            source.send("fwd", total + 1 + n)  # above feed: no re-post
+        source.send("fwd", 0)  # the self-feeding chain 0..total
+        sent = queued + total + 1
+        assert harness.run(
+            lambda: sum(received(sink)) == sent and harness.host.idle()
+        )
+        assert max(fwd.flushes) <= queued + 1
+        assert len([f for f in fwd.flushes if f]) >= sent // (queued + 1)
+        assert max(received(sink)) > 1
+
+    def test_never_idle_while_output_is_unflushed(self, harness):
+        fwd = Forwarder(harness.host, feed=40)
+        sink = Collector()
+        harness.host.add_node("sink", sink)
+        harness.host.add_node("src", Collector()).send("fwd", 0)
+        premature = []
+
+        def sample():
+            # idle() first: once it holds nothing can buffer anew, so a
+            # pending message seen after it was buffered before it.
+            if harness.host.idle() and fwd.channel.pending_count:
+                premature.append(fwd.channel.pending_count)
+            return sum(received(sink)) == 41
+
+        assert harness.run(sample)
+        assert premature == []
+        assert fwd.idle_at_flush and not any(fwd.idle_at_flush)
+
+    def test_batching_off_never_flushes(self, harness):
+        fwd = Forwarder(harness.host, batching="off", feed=10)
+        sink = Collector()
+        harness.host.add_node("sink", sink)
+        harness.host.add_node("src", Collector()).send("fwd", 0)
+        assert harness.run(
+            lambda: len(sink.messages) == 11 and harness.host.idle()
+        )
+        assert fwd.flushes == []
+        assert received(sink) == [1] * 11
+
+
 class TestThreadedWindows:
     """The two windows only a scheduler with real threads has."""
 
@@ -356,4 +469,12 @@ class TestTimersWorkerHost(TestTimers):
 
 
 class TestQuiescenceWorkerHost(TestQuiescence):
+    scheduler = "worker"
+
+
+class TestDrainBatchingAsyncio(TestDrainBatching):
+    scheduler = "asyncio"
+
+
+class TestDrainBatchingWorkerHost(TestDrainBatching):
     scheduler = "worker"

@@ -88,7 +88,7 @@ class TestBatchEqualsUnbatched:
         assert dst == "bob"
         assert isinstance(batch, BatchEnvelope)
         receiver2 = ChannelAdapter("bob", keys, CapturingConnection())
-        decoded = [receiver2.accept(env) for env in receiver2.open_batch(batch)]
+        decoded = [msg for _, _, msg in receiver2.open_batch(batch)]
 
         assert decoded == unbatched == messages
 
@@ -111,10 +111,10 @@ class TestOneMacPerBatch:
         receiver = ChannelAdapter("bob", keys, CapturingConnection())
         METRICS.reset()
         inner = receiver.open_batch(batch)
-        for env in inner:
-            assert receiver.accept(env) is not None
+        for sender, envelope, msg in inner:
+            assert (sender, envelope) == ("alice", None) and msg is not None
         # One verification for the whole batch; the six plain items are
-        # pre-verified by it and charge no further MAC work.
+        # vouched for by it and charge no further MAC work.
         assert METRICS.mac_verifications == 1
         assert len(inner) == 6
 
@@ -186,7 +186,7 @@ class TestSingletonAndProofPaths:
         assert isinstance(batch, BatchEnvelope)
         assert [kind for kind, _ in batch.items] == ["e", "p"]
         receiver = ChannelAdapter("v0", keys, CapturingConnection())
-        relayed = receiver.open_batch(batch)[0]
+        _, relayed, _ = receiver.open_batch(batch)[0]
         for name in voters:
             voter = ChannelAdapter(name, keys, CapturingConnection())
             assert voter.accept(relayed) == {"op": "out-request"}
@@ -199,7 +199,7 @@ class TestSingletonAndProofPaths:
         channel.flush()
         (_, batch), = conn.transmitted
         receiver = ChannelAdapter("v0", keys, CapturingConnection())
-        decoded = [receiver.accept(env) for env in receiver.open_batch(batch)]
+        decoded = [msg for _, _, msg in receiver.open_batch(batch)]
         assert decoded == [{"seq": 0}, {"seq": 1}, {"seq": 2}]
 
 
@@ -238,7 +238,7 @@ class TestBatchSecurity:
         rebuilt = envelope_from_wire(decode_payload(wire_bytes))
         assert isinstance(rebuilt, BatchEnvelope)
         receiver = ChannelAdapter("v0", keys, CapturingConnection())
-        decoded = [receiver.accept(env) for env in receiver.open_batch(rebuilt)]
+        decoded = [msg for _, _, msg in receiver.open_batch(rebuilt)]
         assert decoded == [{"op": "proof"}, {"op": "plain"}]
 
 
