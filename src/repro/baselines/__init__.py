@@ -4,13 +4,9 @@ The paper's quantitative baseline is its own system at n=1 (no
 replication); its qualitative comparison (Figure 2) scores Perpetual-WS
 against Thema, BFT-WS, and SWS on nine properties. This package encodes
 that matrix (:mod:`repro.baselines.features`) with *executable* probes for
-the properties our implementation can demonstrate, plus restricted-mode
-deployment wrappers (:mod:`repro.baselines.restricted`) that emulate the
-other systems' limitations (no replicated callers, synchronous-only,
-signature authentication) for the ablation benchmarks.
-
-See ``docs/benchmarks.md`` for how baseline comparisons feed the
-regression gate's trajectory points.
+the properties our implementation can demonstrate. The ``fig2``
+experiments command prints it; the matrix tests in ``tests/unit/baselines``
+check it against the paper's table.
 """
 
 from repro.baselines.features import (

@@ -10,7 +10,9 @@ protocol messages and emits them through injected callables, so the same
 code runs on the discrete-event simulator and the threaded runtime. In
 Perpetual, each service's *voter group* embeds one CLBFT instance and uses
 it to agree both on external requests sent to the service and on replies
-to requests the service issued (Figure 1, stages 2 and 8).
+to requests the service issued (Figure 1, stages 2 and 8). The voter is
+the only embedder: items enter agreement through its validated
+``submit``, never from a peer.
 
 Contract: replicas are sans-IO deterministic state machines — identical
 inputs produce identical outputs and sends on every substrate (rules
@@ -28,15 +30,12 @@ from repro.clbft.messages import (
     NewView,
     PrePrepare,
     Prepare,
-    Reply,
     ViewChange,
 )
 from repro.clbft.replica import ClbftReplica
-from repro.clbft.client import ClbftClient
 
 __all__ = [
     "Checkpoint",
-    "ClbftClient",
     "ClbftReplica",
     "ClientRequest",
     "Commit",
@@ -44,6 +43,5 @@ __all__ = [
     "NewView",
     "PrePrepare",
     "Prepare",
-    "Reply",
     "ViewChange",
 ]

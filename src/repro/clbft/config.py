@@ -41,6 +41,3 @@ class GroupConfig:
     def primary_of(self, view: int) -> int:
         """Replica index acting as primary in ``view``."""
         return view % self.n
-
-    def is_primary(self, index: int, view: int) -> bool:
-        return self.primary_of(view) == index

@@ -44,13 +44,12 @@ def message_to_wire(msg: Any) -> Any:
 @register
 @dataclass(frozen=True)
 class ClientRequest:
-    """An operation submitted for agreement.
+    """An agreement item, submitted by the local Perpetual voter.
 
-    ``client`` identifies the submitting principal; ``timestamp`` is the
-    client's monotonically increasing issue number (used for exactly-once
-    execution and reply caching); ``op`` is the opaque operation payload.
-    In Perpetual, voter groups submit agreement items through this same
-    message with the item key as the client identity.
+    ``(client, timestamp)`` is the item's identity, used for
+    exactly-once execution; the voter derives it from the item content
+    (see :mod:`repro.perpetual.messages`). ``op`` is the opaque item body
+    the voter validates and executes.
     """
 
     KIND: ClassVar[str] = "request"
@@ -69,9 +68,6 @@ class PrePrepare:
     seqno: int
     digest: bytes
     requests: tuple
-
-    def payload_tuple(self) -> tuple:
-        return (self.view, self.seqno, self.digest)
 
 
 @register
@@ -96,19 +92,6 @@ class Commit:
     seqno: int
     digest: bytes
     replica: int
-
-
-@register
-@dataclass(frozen=True)
-class Reply:
-    """Execution result returned to the submitting client."""
-
-    KIND: ClassVar[str] = "reply"
-    view: int
-    timestamp: int
-    client: str
-    replica: int
-    result: Any
 
 
 @register

@@ -2,14 +2,16 @@
 
 Sans-IO: all effects flow through injected callables —
 
-- ``execute(seqno, request) -> result`` — application upcall, invoked in
+- ``execute(seqno, request)`` — application upcall, invoked in
   sequence-number order exactly once per request;
 - ``multicast(msg)`` — authenticated send to every *other* group member;
 - ``send_to(index, msg)`` — authenticated send to one group member;
-- ``send_reply(client, reply)`` — deliver an execution result to the
-  submitting principal (optional; Perpetual voters consume results through
-  ``execute`` instead);
 - ``set_timer(tag, delay_us)`` / ``cancel_timer(tag)`` — liveness timers.
+
+The Perpetual voter is the only embedder. Items enter agreement only
+through its :meth:`ClbftReplica.submit`, after the voter validated them;
+:meth:`ClbftReplica.on_message` takes the six replica-to-replica messages
+and nothing else, so a peer cannot inject an item.
 
 The implementation follows Castro & Liskov (OSDI'99) with MAC
 authenticators: three-phase normal case (pre-prepare, prepare, commit),
@@ -35,7 +37,6 @@ from repro.clbft.messages import (
     PrePrepare,
     Prepare,
     PreparedProof,
-    Reply,
     ViewChange,
     encode_message,
 )
@@ -75,12 +76,11 @@ class ClbftReplica:
         self,
         config: GroupConfig,
         index: int,
-        execute: Callable[[int, ClientRequest], Any],
+        execute: Callable[[int, ClientRequest], None],
         multicast: Callable[[Any], None],
         send_to: Callable[[int, Any], None],
         set_timer: Callable[[str, int], None],
         cancel_timer: Callable[[str], None],
-        send_reply: Callable[[str, Reply], None] | None = None,
         state_digest: Callable[[], bytes] | None = None,
         on_new_view: Callable[[int], None] | None = None,
         on_stable_checkpoint: Callable[[int], None] | None = None,
@@ -92,7 +92,6 @@ class ClbftReplica:
         self._send_to = send_to
         self._set_timer = set_timer
         self._cancel_timer = cancel_timer
-        self._send_reply = send_reply
         # analysis: allow(WIRE002) — checkpoint state digest, taken once
         # per checkpoint interval (K), never per message
         self._state_digest = state_digest or (lambda: digest(self.log.last_executed))
@@ -116,8 +115,6 @@ class ClbftReplica:
         # Seqno each key executed at, so stable checkpoints can garbage-
         # collect the at-most-once bookkeeping above.
         self._executed_at: dict[tuple[str, int], int] = {}
-        # Last reply per client, for at-most-once execution + retransmission.
-        self._last_reply: dict[str, Reply] = {}
         # View-change votes per target view.
         self._view_changes: dict[int, dict[int, ViewChange]] = {}
         self._timeout_us = config.view_change_timeout_us
@@ -146,16 +143,15 @@ class ClbftReplica:
         return self.config.primary_of(self.view) == self.index
 
     def submit(self, request: ClientRequest) -> None:
-        """Submit a request for agreement (from the local voter or edge).
+        """Submit a validated item for agreement (from the local voter).
 
         Replicas that are not the primary rely on the submission also
-        reaching the primary (in Perpetual every voter submits the same
-        item; standalone clients multicast on retransmission) and use the
-        view-change timer for liveness.
+        reaching the primary (every voter submits the same item) and use
+        the view-change timer for liveness. An item already executed is
+        ignored.
         """
         key = request_key(request)
         if key in self._executed_keys:
-            self._retransmit_reply(request)
             return
         self._all_submitted.setdefault(key, request)
         if key in self._pending or key in self._proposed:
@@ -164,15 +160,6 @@ class ClbftReplica:
         if self.is_primary and not self.in_view_change:
             self._try_propose()
         self._ensure_timer()
-
-    def _retransmit_reply(self, request: ClientRequest) -> None:
-        cached = self._last_reply.get(request.client)
-        if (
-            cached is not None
-            and cached.timestamp == request.timestamp
-            and self._send_reply is not None
-        ):
-            self._send_reply(request.client, cached)
 
     def _try_propose(self) -> None:
         """Primary: fold pending requests into pre-prepares while the
@@ -208,11 +195,12 @@ class ClbftReplica:
     # ------------------------------------------------------------------
 
     def on_message(self, src_index: int, msg: Any) -> None:
-        """Dispatch an authenticated protocol message from ``src_index``."""
-        if isinstance(msg, ClientRequest):
-            # A forwarded request (e.g. client retransmission relay).
-            self.submit(msg)
-        elif isinstance(msg, PrePrepare):
+        """Dispatch an authenticated protocol message from ``src_index``.
+
+        Only replica-to-replica messages are taken; anything else (a
+        ``ClientRequest`` included) is dropped.
+        """
+        if isinstance(msg, PrePrepare):
             self._on_pre_prepare(src_index, msg)
         elif isinstance(msg, Prepare):
             self._on_prepare(src_index, msg)
@@ -380,18 +368,8 @@ class ClbftReplica:
         self._executed_at[key] = seqno
         self._pending.pop(key, None)
         self._all_submitted.pop(key, None)
-        result = self._execute(seqno, request)
+        self._execute(seqno, request)
         self.executed_requests += 1
-        reply = Reply(
-            view=self.view,
-            timestamp=request.timestamp,
-            client=request.client,
-            replica=self.index,
-            result=result,
-        )
-        self._last_reply[request.client] = reply
-        if self._send_reply is not None:
-            self._send_reply(request.client, reply)
 
     def _emit_checkpoint(self, seqno: int) -> None:
         checkpoint = Checkpoint(
@@ -430,9 +408,6 @@ class ClbftReplica:
                 self._executed_keys.discard(key)
                 self._proposed.discard(key)
                 self._all_submitted.pop(key, None)
-                reply = self._last_reply.get(key[0])
-                if reply is not None and reply.timestamp == key[1]:
-                    del self._last_reply[key[0]]
             METRICS.cache_evictions += len(dead)
         if self._stable_checkpoint_callback is not None:
             self._stable_checkpoint_callback(stable)

@@ -757,19 +757,18 @@ class VoterNode(ProtocolNode):
     # Stage 3 and 9: agreed items reach the local driver
     # ------------------------------------------------------------------
 
-    def _execute_item(self, seqno: int, item: ClientRequest) -> Any:
+    def _execute_item(self, seqno: int, item: ClientRequest) -> None:
         kind = item_kind(item)
         if kind == ITEM_REQUEST:
-            return self._deliver_request(seqno, item)
-        if kind == ITEM_RESULT:
-            return self._deliver_result(seqno, item)
-        if kind == ITEM_ABORT:
-            return self._deliver_abort(seqno, item)
-        if kind == ITEM_UTILITY:
-            return self._deliver_utility(item)
-        return None
+            self._deliver_request(seqno, item)
+        elif kind == ITEM_RESULT:
+            self._deliver_result(seqno, item)
+        elif kind == ITEM_ABORT:
+            self._deliver_abort(seqno, item)
+        elif kind == ITEM_UTILITY:
+            self._deliver_utility(item)
 
-    def _deliver_request(self, seqno: int, item: ClientRequest) -> Any:
+    def _deliver_request(self, seqno: int, item: ClientRequest) -> None:
         # The agreed request is a copy a calling driver authenticated.
         req = payload_request(item.op["payloads"][0])
         self._incoming_meta[req.request_id] = req
@@ -788,12 +787,11 @@ class VoterNode(ProtocolNode):
                 },
             ),
         )
-        return {"delivered": str(req.request_id)}
 
-    def _deliver_result(self, seqno: int, item: ClientRequest) -> Any:
+    def _deliver_result(self, seqno: int, item: ClientRequest) -> None:
         request_id = item.op["request_id"]
         if request_id in self._delivered_results:
-            return {"duplicate": True}
+            return
         self._delivered_results.add(request_id)
         self._gc_seqnos[request_id] = seqno
         self._cleanup_result_state(request_id)
@@ -809,12 +807,11 @@ class VoterNode(ProtocolNode):
                 },
             ),
         )
-        return {"delivered": str(request_id)}
 
-    def _deliver_abort(self, seqno: int, item: ClientRequest) -> Any:
+    def _deliver_abort(self, seqno: int, item: ClientRequest) -> None:
         request_id = item.op["request_id"]
         if request_id in self._delivered_results:
-            return {"duplicate": True}
+            return
         self._delivered_results.add(request_id)
         self._gc_seqnos[request_id] = seqno
         self._cleanup_result_state(request_id)
@@ -826,9 +823,8 @@ class VoterNode(ProtocolNode):
                 body={"request_id": request_id, "value": None, "aborted": True},
             ),
         )
-        return {"aborted": str(request_id)}
 
-    def _deliver_utility(self, item: ClientRequest) -> Any:
+    def _deliver_utility(self, item: ClientRequest) -> None:
         self._env.local_deliver(
             self.driver,
             AgreedEvent(
@@ -840,7 +836,6 @@ class VoterNode(ProtocolNode):
                 },
             ),
         )
-        return {"utility": item.timestamp}
 
     def _cleanup_result_state(self, request_id: RequestId) -> None:
         self._result_echoes.pop(request_id, None)

@@ -32,7 +32,6 @@ from repro.sim.network import (
     PartitionModel,
     UniformLatency,
 )
-from repro.soap.engine import SoapEngine
 from repro.ws.adapter import (
     WsAdapter,
     WsAppFactory,
@@ -69,9 +68,6 @@ class ServiceDeployment:
         if self.adapters:
             return self.adapters[0].requests_served
         return self.group.delivered_requests()
-
-    def engines(self) -> list[SoapEngine]:
-        return [adapter.engine for adapter in self.adapters]
 
 
 class Deployment:

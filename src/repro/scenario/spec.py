@@ -496,9 +496,6 @@ class ScenarioSpec:
                 f"integer (got {extra!r})"
             )
 
-    def _is_principal(self, name: str) -> bool:
-        return _is_principal_of(name, self.all_services())
-
     # ------------------------------------------------------------------
     # JSON round trip
     # ------------------------------------------------------------------

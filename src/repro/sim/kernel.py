@@ -306,10 +306,6 @@ class Simulator:
             METRICS.events_processed += processed
         return processed
 
-    def run_for(self, duration_us: int) -> int:
-        """Run for a window of simulated time from now."""
-        return self.run(until_us=self._now_us + duration_us)
-
 
 class SimNodeEnv:
     """The environment handed to one protocol node.

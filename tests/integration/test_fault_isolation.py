@@ -11,7 +11,9 @@ Three scenarios:
    deterministically and keep their replica state consistent.
 """
 
-from repro.clbft.messages import decode_message, encode_message
+import pytest
+
+from repro.clbft.messages import ClientRequest, decode_message, encode_message
 from repro.common.ids import RequestId, ServiceId
 from repro.crypto.auth import AuthenticatorFactory
 from repro.perpetual.messages import OutRequest, ReplyBundle
@@ -93,6 +95,58 @@ class TestRequestInjection:
         deployment.run(seconds=30)
         for voter in target.group.voters:
             assert voter.delivered_requests == baseline
+
+
+def _forged_relay_run(op):
+    """A 60-call 4x4 echo; with ``op`` set, one faulty target voter (within
+    f) sends the primary a ``ClientRequest`` MAC'd with its own keys 50 ms
+    in. Returns (view changes per target voter, calls per caller driver,
+    caller driver 0's last completion)."""
+    deployment, results, caller, target = build_two_tier(4, 4, calls=60)
+    deployment.run(seconds=0.05)
+    if op is not None:
+        payload = encode_message(
+            ClientRequest(client="req/forged", timestamp=1, op=op)
+        )
+        faulty, primary = voter_name("target", 3), voter_name("target", 0)
+        auth = AuthenticatorFactory(deployment.keys, faulty).sign(
+            payload, [primary]
+        )
+        deployment.sim.post_message(
+            faulty, primary, WireEnvelope(payload=payload, auth=auth), 512
+        )
+    deployment.run(seconds=30)
+    return (
+        [v.replica.view_changes_completed for v in target.group.voters],
+        [d.completed_calls for d in caller.group.drivers],
+        caller.group.drivers[0].last_completion_us,
+    )
+
+
+@pytest.fixture(scope="module")
+def fault_free_completion_us():
+    return _forged_relay_run(None)[2]
+
+
+class TestForgedRelay:
+    """Agreement items enter CLBFT only through a voter's validated
+    ``submit``: a peer voter that sends the primary a ``ClientRequest``
+    directly must not get it proposed, or the backups' batch validation
+    rejects the pre-prepare and the group deposes a correct primary."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            {"kind": "req", "payloads": [b"junk"], "proof": []},
+            {"kind": "result", "request_id": "nope", "value": 1},
+        ],
+        ids=["request-item", "result-item"],
+    )
+    def test_peer_cannot_relay_an_item(self, op, fault_free_completion_us):
+        view_changes, completed, last_us = _forged_relay_run(op)
+        assert view_changes == [0, 0, 0, 0]
+        assert completed == [60, 60, 60, 60]
+        assert last_us == fault_free_completion_us
 
 
 class TestIllTypedIdentifiers:

@@ -1,6 +1,4 @@
-"""Unit tests for the Figure 2 feature matrix and restricted modes."""
-
-import pytest
+"""Unit tests for the Figure 2 feature matrix."""
 
 from repro.baselines.features import (
     ASYNC_COMM,
@@ -22,14 +20,6 @@ from repro.baselines.features import (
     render_matrix,
     supports,
 )
-from repro.baselines.restricted import (
-    ALL_MODES,
-    bft_ws_mode,
-    perpetual_ws_mode,
-    sws_mode,
-    thema_mode,
-)
-from repro.common.errors import ConfigurationError
 
 
 class TestMatrixShape:
@@ -100,29 +90,3 @@ class TestPaperClaims:
         for prop in PROPERTIES:
             assert prop in table
 
-
-class TestRestrictedModes:
-    def test_perpetual_allows_everything(self):
-        mode = perpetual_ws_mode()
-        mode.check_caller_replication(10)
-        mode.check_window(25)
-
-    def test_thema_rejects_replicated_callers(self):
-        with pytest.raises(ConfigurationError):
-            thema_mode().check_caller_replication(4)
-
-    def test_thema_rejects_async(self):
-        with pytest.raises(ConfigurationError):
-            thema_mode().check_window(5)
-
-    def test_bft_ws_uses_signatures(self):
-        assert bft_ws_mode().cost_model.name == "rsa-signature"
-
-    def test_sws_allows_replicated_callers_but_not_async(self):
-        mode = sws_mode()
-        mode.check_caller_replication(7)
-        with pytest.raises(ConfigurationError):
-            mode.check_window(2)
-
-    def test_all_modes_enumerated(self):
-        assert {m.name for m in ALL_MODES} == set(SYSTEMS)

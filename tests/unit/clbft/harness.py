@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.clbft.config import GroupConfig
-from repro.clbft.messages import ClientRequest, Reply
+from repro.clbft.messages import ClientRequest
 from repro.clbft.replica import ClbftReplica
 
 
@@ -53,7 +53,6 @@ class Group:
         self.bus = Bus()
         self.timers = Timers()
         self.executed: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
-        self.replies: list[list[Reply]] = [[] for _ in range(n)]
         self.replicas: list[ClbftReplica] = []
         for i in range(n):
             set_timer, cancel_timer = self.timers.binder(i)
@@ -66,14 +65,12 @@ class Group:
                     send_to=self._sender(i),
                     set_timer=set_timer,
                     cancel_timer=cancel_timer,
-                    send_reply=self._replier(i),
                 )
             )
 
     def _executor(self, i: int):
         def execute(seqno: int, request: ClientRequest):
             self.executed[i].append((seqno, request.op))
-            return {"executed": request.op}
 
         return execute
 
@@ -93,12 +90,6 @@ class Group:
                 self.bus.post(i, j, msg)
 
         return send_to
-
-    def _replier(self, i: int):
-        def send_reply(client: str, reply: Reply) -> None:
-            self.replies[i].append(reply)
-
-        return send_reply
 
     # -- driving ---------------------------------------------------------
 

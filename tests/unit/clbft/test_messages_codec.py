@@ -10,7 +10,6 @@ from repro.clbft.messages import (
     PrePrepare,
     Prepare,
     PreparedProof,
-    Reply,
     ViewChange,
     decode_message,
     encode_message,
@@ -41,7 +40,6 @@ def roundtrip(msg):
         PRE_PREPARE,
         Prepare(view=1, seqno=7, digest=b"d" * 32, replica=2),
         Commit(view=1, seqno=7, digest=b"d" * 32, replica=0),
-        Reply(view=0, timestamp=3, client="c", replica=1, result={"ok": True}),
         Checkpoint(seqno=16, state_digest=b"s" * 32, replica=3),
         PreparedProof(
             pre_prepare=PRE_PREPARE,

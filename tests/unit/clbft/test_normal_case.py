@@ -12,12 +12,6 @@ class TestUnreplicated:
         group.submit({"op": "x"})
         assert group.executed_ops(0) == [{"op": "x"}]
 
-    def test_n1_replies(self):
-        group = Group(1)
-        group.submit({"op": "x"})
-        assert len(group.replies[0]) == 1
-        assert group.replies[0][0].result == {"executed": {"op": "x"}}
-
 
 class TestThreePhase:
     def test_all_replicas_execute(self):
@@ -54,13 +48,6 @@ class TestThreePhase:
         group.deliver_all()
         kinds = {type(m).__name__ for _, _, m in group.bus.log}
         assert {"PrePrepare", "Prepare", "Commit"} <= kinds
-
-    def test_replies_sent_by_every_replica(self):
-        group = Group(4)
-        group.submit({"op": "a"})
-        group.deliver_all()
-        for i in range(4):
-            assert len(group.replies[i]) == 1
 
     def test_larger_groups(self):
         for n in (7, 10):

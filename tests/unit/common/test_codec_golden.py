@@ -19,7 +19,6 @@ from repro.clbft.messages import (
     PrePrepare,
     Prepare,
     PreparedProof,
-    Reply,
     ViewChange,
     decode_message,
     encode_message,
@@ -153,8 +152,6 @@ MESSAGE_VECTORS = [
     (PREPARE, PREPARE_BYTES),
     (Commit(view=1, seqno=7, digest=D32, replica=0),
      msg("commit", i(1), i(7), b(D32), i(0))),
-    (Reply(view=0, timestamp=3, client="c", replica=1, result=True),
-     msg("reply", i(0), i(3), s("c"), i(1), b"T")),
     (CHECKPOINT, CHECKPOINT_BYTES),
     (PROOF, PROOF_BYTES),
     (VIEW_CHANGE, VIEW_CHANGE_BYTES),
