@@ -49,19 +49,16 @@ def test_live_reply_path_message_count():
     order (nt + nc, not nt * nc)."""
     from repro.clbft.messages import decode_message
     from repro.perpetual.messages import ReplyBundle, ReplyForward
+    from repro.scenario.sim import SimRuntime
     from repro.transport.wire import WireEnvelope
-    from repro.scenario.sim import Deployment
-    from tests.integration.helpers import counter_service, scripted_caller
+    from tests.integration.scripted import replies, two_tier
 
-    deployment = Deployment(name="reply-count")
-    deployment.declare("caller", 4)
-    deployment.declare("target", 4)
-    deployment.add_service("target", counter_service())
-    results = []
-    deployment.add_service("caller", scripted_caller("target", 1, results))
+    runtime = SimRuntime().deploy(
+        two_tier(4, 4, calls=1, name="reply-count").build()
+    )
 
     reply_messages = [0]
-    original_post = deployment.sim.post_message
+    original_post = runtime.sim.post_message
 
     def counting_post(src, dst, msg, size_bytes):
         if isinstance(msg, WireEnvelope):
@@ -73,9 +70,9 @@ def test_live_reply_path_message_count():
                 reply_messages[0] += 1
         original_post(src, dst, msg, size_bytes)
 
-    deployment.sim.post_message = counting_post
-    deployment.run(seconds=30)
-    assert results
+    runtime.sim.post_message = counting_post
+    runtime.run(until_s=30)
+    assert replies(runtime)
     # Responder path: ~(nt - 1) forwards + nc bundles = 7, far below the
     # 16-message all-to-all mesh (retransmissions may add a few).
     assert reply_messages[0] <= 10, reply_messages[0]

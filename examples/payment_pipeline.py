@@ -7,21 +7,31 @@ replicated issuing bank — different replication degrees interoperating,
 with the PGE fully asynchronous (it keeps serving new authorisations
 while bank calls are in flight).
 
-The second half crashes a PGE replica mid-run to show the pipeline
-absorbing a fault within its tolerance.
+The second half crashes a PGE replica to show the pipeline absorbing a
+fault within its tolerance.
 
 Run:  python examples/payment_pipeline.py
 """
 
-from repro.apps.payment import bank_app, pge_app
-from repro.scenario.sim import Deployment
-from repro.sim.network import LanModel, PartitionModel
-from repro.ws.api import MessageContext, MessageHandler
+from repro import MessageContext, MessageHandler, ScenarioBuilder, run_scenario
+from repro.scenario import BuiltApp, register_app
+
+PAYMENTS = [
+    ("4111-aaaa", 25_000),
+    ("4111-bbbb", 60_000),
+    ("4111-aaaa", 90_000),   # pushes card aaaa past its limit
+    ("4111-cccc", 10_000),
+]
 
 
-def make_store(outcomes, payments):
+@register_app("pipeline_store")
+def _build_store(params: dict) -> BuiltApp:
+    """The storefront: one authorisation per payment; the probe reports
+    each ``(index, outcome)``."""
+    outcomes: list = []
+
     def app():
-        for i, (card, cents) in enumerate(payments):
+        for i, (card, cents) in enumerate(PAYMENTS):
             reply = yield MessageHandler.send_receive(
                 MessageContext(
                     to="pge", body={"card": card, "amount_cents": cents}
@@ -34,34 +44,22 @@ def make_store(outcomes, payments):
                     (i, "approved" if reply.body["approved"] else "declined")
                 )
 
-    return app
+    return BuiltApp(factory=app, probe=lambda: {"outcomes": outcomes})
 
 
 def run(crash_pge_replica: bool) -> list:
-    network = PartitionModel(LanModel())
-    deployment = Deployment(name="payment-pipeline", network=network)
-    deployment.declare("store", 1)
-    deployment.declare("pge", 4)   # tolerates 1 Byzantine fault
-    deployment.declare("bank", 7)  # tolerates 2
-
-    deployment.add_service("bank", lambda: bank_app(card_limit_cents=100_000))
-    deployment.add_service("pge", pge_app(bank_endpoint="bank"))
-
-    payments = [
-        ("4111-aaaa", 25_000),
-        ("4111-bbbb", 60_000),
-        ("4111-aaaa", 90_000),   # pushes card aaaa past its limit
-        ("4111-cccc", 10_000),
-    ]
-    outcomes: list = []
-    deployment.add_service("store", make_store(outcomes, payments))
-
+    builder = (
+        ScenarioBuilder("payment-pipeline")
+        .service("bank", n=7, app="bank",  # tolerates 2
+                 card_limit_cents=100_000)
+        .service("pge", n=4, app="pge",    # tolerates 1 Byzantine fault
+                 bank_endpoint="bank")
+        .service("store", n=1, app="pipeline_store")
+        .duration(120)
+    )
     if crash_pge_replica:
-        network.kill("pge/v2")
-        network.kill("pge/d2")
-
-    deployment.run(seconds=120)
-    return outcomes
+        builder.crash("pge", 2)
+    return run_scenario(builder.build()).services["store"].app["outcomes"]
 
 
 def main() -> None:

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Quickstart: a Byzantine fault-tolerant web service in ~40 lines.
+"""Quickstart: a Byzantine fault-tolerant web service in ~50 lines.
 
 Deploys a 4-replica counter service (tolerating 1 Byzantine fault) and a
 4-replica caller, exchanges a few requests, and shows that every replica
 observed the identical state — all on the deterministic simulator, no
 network or containers required.
 
+A service is a generator application registered under an app kind; the
+deployment is one declarative scenario naming those kinds.
+
 Run:  python examples/quickstart.py
 """
 
-from repro.scenario.sim import Deployment
-from repro.ws.api import MessageContext, MessageHandler
+from repro import MessageContext, MessageHandler, ScenarioBuilder, run_scenario
+from repro.scenario import BuiltApp, register_app
 
 
 def counter_service():
@@ -24,8 +27,16 @@ def counter_service():
         yield MessageHandler.send_reply(reply, request)
 
 
-def make_caller(observed):
-    """The caller: five synchronous increments."""
+@register_app("quickstart_counter")
+def _build_counter(params: dict) -> BuiltApp:
+    return BuiltApp(factory=counter_service)
+
+
+@register_app("quickstart_caller")
+def _build_caller(params: dict) -> BuiltApp:
+    """The caller: five synchronous increments. Its probe reports the
+    values every caller replica observed."""
+    observed: list[int] = []
 
     def app():
         for i in range(5):
@@ -34,21 +45,21 @@ def make_caller(observed):
             )
             observed.append(reply.body["new"])
 
-    return app
+    return BuiltApp(factory=app, probe=lambda: {"observed": observed})
 
 
 def main() -> None:
-    deployment = Deployment(name="quickstart")
-    deployment.declare("counter", 4)  # 3f+1 with f=1
-    deployment.declare("caller", 4)
+    spec = (
+        ScenarioBuilder("quickstart")
+        .service("counter", n=4, app="quickstart_counter")  # 3f+1 with f=1
+        .service("caller", n=4, app="quickstart_caller")
+        .duration(30)
+        .build()
+    )
+    caller = run_scenario(spec).services["caller"]
+    observed = caller.app["observed"]
 
-    deployment.add_service("counter", counter_service)
-    observed: list[int] = []
-    caller = deployment.add_service("caller", make_caller(observed))
-
-    deployment.run(seconds=30)
-
-    print("completed calls (replica 0):", caller.group.drivers[0].completed_calls)
+    print("completed calls (replica 0):", caller.completed_calls)
     print("counter values seen, across all 4 caller replicas:", sorted(observed))
     per_value = {v: observed.count(v) for v in set(observed)}
     print("each value observed once per replica:", per_value)

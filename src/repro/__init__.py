@@ -14,7 +14,9 @@ Architectures" (Pallemulle & Goldman, WUCSE-2007-53 / ICDCS 2008):
 - ``repro.tpcw``       -- the TPC-W macro-benchmark (bookstore, RBEs, PGE, bank).
 
 The top-level package re-exports the public API a downstream user needs to
-deploy a replicated web service.
+deploy a replicated web service: the ``MessageHandler`` programming model
+for writing one, and ``ScenarioBuilder`` / ``run_scenario`` for deploying
+it on any of the four substrates.
 
 Start with ``docs/architecture.md`` for the layer map (sim kernel ->
 transport -> ws/channel -> clbft/perpetual -> scenario runtimes) and
@@ -46,7 +48,6 @@ from repro.scenario import (
     get_runtime,
     run_scenario,
 )
-from repro.scenario.sim import Deployment, ServiceDeployment
 from repro.ws.api import MessageContext, MessageHandler, Utils
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "Compute",
     "ConfigurationError",
     "CurrentTime",
-    "Deployment",
     "MessageContext",
     "MessageHandler",
     "ProtocolError",
@@ -68,7 +68,6 @@ __all__ = [
     "ScenarioSpec",
     "Send",
     "SendReply",
-    "ServiceDeployment",
     "ServiceSpec",
     "Timestamp",
     "Utils",

@@ -7,9 +7,8 @@ carries a static table from service name to the replica group description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.common.errors import ConfigurationError
 from repro.common.ids import NodeId, ReplicaId, ServiceId
 from repro.common.quorum import fault_bound, validate_group
 
@@ -45,27 +44,11 @@ class ReplicationConfig:
 
 @dataclass(frozen=True)
 class ServiceSpec:
-    """One entry of the ``replicas.xml`` stand-in.
-
-    Carries the service name, its replication degree, and optional
-    transport endpoints (host, port) per replica. Endpoints default to
-    synthetic addresses for simulated deployments.
-    """
+    """One service's entry in a deployment's topology: its name and
+    replication degree (the paper's ``replicas.xml`` row)."""
 
     service: ServiceId
     replication: ReplicationConfig
-    endpoints: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.endpoints and len(self.endpoints) != self.replication.n:
-            raise ConfigurationError(
-                f"service {self.service}: {len(self.endpoints)} endpoints "
-                f"for {self.replication.n} replicas"
-            )
-        if len(set(self.endpoints)) != len(self.endpoints):
-            raise ConfigurationError(
-                f"service {self.service}: duplicate replica endpoints"
-            )
 
     @property
     def n(self) -> int:
@@ -84,16 +67,11 @@ class ServiceSpec:
     def drivers(self) -> list[NodeId]:
         return [NodeId(r, NodeId.DRIVER) for r in self.replicas()]
 
-    def endpoint_of(self, index: int) -> str:
-        if self.endpoints:
-            return self.endpoints[index]
-        return f"perpetual://{self.service}/{index}"
 
-
-def make_spec(name: str, n: int, endpoints: tuple[str, ...] = ()) -> ServiceSpec:
-    """Shorthand used throughout tests, examples, and benchmarks."""
+def make_spec(name: str, n: int) -> ServiceSpec:
+    """The entry of service ``name`` replicated ``n`` times, tolerating
+    the most faults ``n`` allows."""
     return ServiceSpec(
         service=ServiceId(name),
         replication=ReplicationConfig.for_group_size(n),
-        endpoints=endpoints,
     )

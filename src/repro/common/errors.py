@@ -18,8 +18,8 @@ class ConfigurationError(ReproError):
     """Raised for invalid deployment or replication configuration.
 
     Examples: a replica group whose size is not ``3f + 1``, a service name
-    that is not registered in the deployment descriptor, or duplicate
-    replica endpoints.
+    that is not in the deployment topology, or a scenario spec that
+    fails validation.
     """
 
 

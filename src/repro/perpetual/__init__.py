@@ -18,10 +18,7 @@ Package layout:
 - :mod:`repro.perpetual.voter`     -- the voter node (embeds CLBFT);
 - :mod:`repro.perpetual.driver`    -- the driver node (hosts the executor);
 - :mod:`repro.perpetual.group`     -- topology and deployment of service
-  groups on the simulation kernel;
-- :mod:`repro.perpetual.scheduler` -- deterministic round-robin scheduling
-  of multiple executor coroutines (the paper's section 7 future-work
-  direction, provided as an extension).
+  groups on the simulation kernel.
 
 Contract: voters and drivers are deterministic protocol nodes speaking
 only through their ChannelAdapter (encode-once / digest-once, see

@@ -45,9 +45,6 @@ class Topology:
     def spec_or_none(self, name: str) -> ServiceSpec | None:
         return self.specs.get(name)
 
-    def services(self) -> list[str]:
-        return sorted(self.specs)
-
 
 @dataclass
 class ServiceGroup:
@@ -60,16 +57,6 @@ class ServiceGroup:
     @property
     def n(self) -> int:
         return len(self.voters)
-
-    def completed_calls(self) -> int:
-        """Out-calls completed, as observed by replica 0's driver."""
-        return self.drivers[0].completed_calls
-
-    def aborted_calls(self) -> int:
-        return self.drivers[0].aborted_calls
-
-    def delivered_requests(self) -> int:
-        return self.voters[0].delivered_requests
 
 
 def build_replica(

@@ -56,6 +56,7 @@ from repro.ws.api import (
     WsSendReceive,
     WsSendReply,
 )
+from repro.ws.registry import service_name
 
 WsAppFactory = Callable[[], Generator[Any, Any, None]]
 
@@ -264,28 +265,23 @@ def collecting_executor_factory(
     service: str,
     app_factory: WsAppFactory,
     adapters: list["WsAdapter"],
-    resolve: Callable[[str], str] | None = None,
 ) -> Callable[[], Any]:
     """The per-replica executor factory every substrate deploys with.
 
     Each invocation (one per replica, in replica order — the driver
     constructs its executor eagerly) builds a fresh engine and adapter,
     appends the adapter to ``adapters`` for observability, and returns
-    the executor-level generator. ``resolve`` defaults to the static
-    registry resolution so ``perpetual://`` endpoint references work
+    the executor-level generator. Endpoint references resolve through
+    :func:`repro.ws.registry.service_name`, so ``perpetual://`` works
     identically on every substrate.
     """
-    if resolve is None:
-        from repro.ws.registry import ServiceRegistry
-
-        resolve = ServiceRegistry.service_name
 
     def factory() -> Any:
         adapter = WsAdapter(
             service=service,
             app_factory=app_factory,
             engine=SoapEngine(),
-            resolve=resolve,
+            resolve=service_name,
         )
         adapters.append(adapter)
         return adapter.executor_app()()

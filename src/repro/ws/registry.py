@@ -1,46 +1,20 @@
-"""A static service registry: the UDDI stand-in.
+"""``perpetual://`` endpoint references, resolved statically.
 
 The paper notes UDDI cannot serve replicated endpoint references and that
 Perpetual-WS therefore uses static ``replicas.xml`` mappings (section
-5.2); dynamic discovery is listed as future work (section 7). This module
-provides the registry both modes share: endpoint references of the form
-``perpetual://service`` resolve to the service name and replica-group
-spec; unknown references raise, mirroring a failed UDDI lookup.
+5.2); here that mapping is the :class:`~repro.scenario.spec.ScenarioSpec`,
+which every replica holds whole. An endpoint reference only has to name
+its service: ``perpetual://service`` (optionally ``/replica``) and the
+bare ``service`` both resolve to ``service``.
 """
 
 from __future__ import annotations
 
-from repro.common.config import ServiceSpec
-from repro.common.errors import ConfigurationError
-
 SCHEME = "perpetual://"
 
 
-class ServiceRegistry:
-    """Maps endpoint references to replica-group information."""
-
-    def __init__(self) -> None:
-        self._by_name: dict[str, ServiceSpec] = {}
-
-    def register(self, spec: ServiceSpec) -> None:
-        self._by_name[str(spec.service)] = spec
-
-    def deregister(self, name: str) -> None:
-        self._by_name.pop(name, None)
-
-    def resolve(self, endpoint: str) -> ServiceSpec:
-        """Resolve ``perpetual://name`` (or a bare name) to its spec."""
-        name = self.service_name(endpoint)
-        spec = self._by_name.get(name)
-        if spec is None:
-            raise ConfigurationError(f"unknown endpoint reference: {endpoint!r}")
-        return spec
-
-    @staticmethod
-    def service_name(endpoint: str) -> str:
-        if endpoint.startswith(SCHEME):
-            endpoint = endpoint[len(SCHEME):]
-        return endpoint.split("/", 1)[0]
-
-    def known_services(self) -> list[str]:
-        return sorted(self._by_name)
+def service_name(endpoint: str) -> str:
+    """The service an endpoint reference names."""
+    if endpoint.startswith(SCHEME):
+        endpoint = endpoint[len(SCHEME):]
+    return endpoint.split("/", 1)[0]

@@ -5,19 +5,20 @@ serving new requests while earlier ones are still awaiting its own
 out-calls. Both sides stay consistent across replicas.
 """
 
-from repro.scenario.sim import Deployment
+from collections import Counter
+
+from repro.scenario.apps import BuiltApp, register_app
+from repro.scenario.spec import ScenarioBuilder
 from repro.ws.api import MessageContext, MessageHandler
-from tests.integration.helpers import counter_service
+from tests.integration.scripted import run_sim
 
 
-def test_parallel_requests_complete_out_of_lockstep():
-    deployment = Deployment(name="async-win")
-    deployment.declare("caller", 4)
-    deployment.declare("target", 4)
-    deployment.add_service("target", counter_service())
+@register_app("test_window_caller")
+def _build_window_caller(params: dict) -> BuiltApp:
+    """Six sends to ``target`` before the first reply is read."""
     received = []
 
-    def window_caller():
+    def app():
         mids = []
         for i in range(6):
             mid = yield MessageHandler.send(
@@ -28,23 +29,15 @@ def test_parallel_requests_complete_out_of_lockstep():
             reply = yield MessageHandler.receive_reply()
             received.append(reply.body["counter"])
 
-    caller = deployment.add_service("caller", window_caller)
-    deployment.run(seconds=60)
-    assert caller.group.drivers[0].completed_calls == 6
-    # All 6 arrived on every replica: each counter value appears 4 times.
-    from collections import Counter
-
-    assert Counter(received) == {k: 4 for k in range(1, 7)}
+    return BuiltApp(factory=app, probe=lambda: {"received": received})
 
 
-def test_specific_reply_receives_out_of_order():
-    deployment = Deployment(name="async-specific")
-    deployment.declare("caller", 4)
-    deployment.declare("target", 4)
-    deployment.add_service("target", counter_service())
+@register_app("test_reverse_receiver")
+def _build_reverse_receiver(params: dict) -> BuiltApp:
+    """Two sends whose replies are read in reverse issue order."""
     order = []
 
-    def caller_app():
+    def app():
         first = MessageContext(to="target", body={"tag": "first"})
         second = MessageContext(to="target", body={"tag": "second"})
         yield MessageHandler.send(first)
@@ -55,30 +48,21 @@ def test_specific_reply_receives_out_of_order():
         reply1 = yield MessageHandler.receive_reply(first)
         order.append(("first", reply1.body["counter"]))
 
-    deployment.add_service("caller", caller_app)
-    deployment.run(seconds=60)
-    assert len(order) == 8  # 2 per replica
-    assert order[0][0] == "second"
+    return BuiltApp(factory=app, probe=lambda: {"order": order})
 
 
-def test_target_serves_while_its_out_call_is_in_flight():
-    """Three-tier async: the middle tier keeps serving new front requests
-    while its back-tier call is outstanding (the paper's long-running /
-    async model; impossible in a blocking middleware)."""
-    deployment = Deployment(name="async-middle")
-    deployment.declare("front", 1)
-    deployment.declare("middle", 4)
-    deployment.declare("back", 4)
-    deployment.add_service("back", counter_service())
-    middle_log = []
+@register_app("test_middle")
+def _build_middle(params: dict) -> BuiltApp:
+    """Answers a fast request itself and a slow one after a ``back`` call."""
+    log = []
 
-    def middle_app():
+    def app():
         pending = {}
         while True:
             event = yield MessageHandler.receive_any()
             if event.kind == "reply":
                 original = pending.pop(event.relates_to)
-                middle_log.append("reply")
+                log.append("reply")
                 yield MessageHandler.send_reply(
                     MessageContext(body={"via": "back",
                                          "c": event.body["counter"]}),
@@ -87,21 +71,26 @@ def test_target_serves_while_its_out_call_is_in_flight():
             else:
                 body = event.body or {}
                 if body.get("fast"):
-                    middle_log.append("fast")
+                    log.append("fast")
                     yield MessageHandler.send_reply(
                         MessageContext(body={"via": "middle"}), event
                     )
                 else:
-                    middle_log.append("slow-start")
+                    log.append("slow-start")
                     mid = yield MessageHandler.send(
                         MessageContext(to="back", body={})
                     )
                     pending[mid] = event
 
-    deployment.add_service("middle", middle_app)
+    return BuiltApp(factory=app, probe=lambda: {"log": log})
+
+
+@register_app("test_front")
+def _build_front(params: dict) -> BuiltApp:
+    """A slow then a fast request to ``middle``; reads the fast reply first."""
     outcomes = []
 
-    def front_app():
+    def app():
         slow = MessageContext(to="middle", body={"fast": False})
         fast = MessageContext(to="middle", body={"fast": True})
         yield MessageHandler.send(slow)
@@ -111,12 +100,51 @@ def test_target_serves_while_its_out_call_is_in_flight():
         slow_reply = yield MessageHandler.receive_reply(slow)
         outcomes.append(slow_reply.body)
 
-    deployment.add_service("front", front_app)
-    deployment.run(seconds=60)
+    return BuiltApp(factory=app, probe=lambda: {"outcomes": outcomes})
+
+
+def two_tier_with(caller_app: str, name: str):
+    spec = (
+        ScenarioBuilder(name)
+        .service("target", n=4, app="counter")
+        .service("caller", n=4, app=caller_app)
+        .build()
+    )
+    return run_sim(spec, until_s=60)
+
+
+def test_parallel_requests_complete_out_of_lockstep():
+    runtime = two_tier_with("test_window_caller", "async-win")
+    caller = runtime.metrics().services["caller"]
+    assert caller.completed_calls == 6
+    # All 6 arrived on every replica: each counter value appears 4 times.
+    assert Counter(caller.app["received"]) == {k: 4 for k in range(1, 7)}
+
+
+def test_specific_reply_receives_out_of_order():
+    runtime = two_tier_with("test_reverse_receiver", "async-specific")
+    order = runtime.metrics().services["caller"].app["order"]
+    assert len(order) == 8  # 2 per replica
+    assert order[0][0] == "second"
+
+
+def test_target_serves_while_its_out_call_is_in_flight():
+    """Three-tier async: the middle tier keeps serving new front requests
+    while its back-tier call is outstanding (the paper's long-running /
+    async model; impossible in a blocking middleware)."""
+    spec = (
+        ScenarioBuilder("async-middle")
+        .service("back", n=4, app="counter")
+        .service("middle", n=4, app="test_middle")
+        .service("front", n=1, app="test_front")
+        .build()
+    )
+    services = run_sim(spec, until_s=60).metrics().services
+    outcomes = services["front"].app["outcomes"]
+    middle_log = services["middle"].app["log"]
     assert outcomes == [{"via": "middle"}, {"via": "back", "c": 1}]
     # Replica 0's middle log shows the fast request served between the
     # slow request's start and its completion.
-    replica0 = middle_log[: len(middle_log) // 4] if middle_log else []
     assert "slow-start" in middle_log and "fast" in middle_log
     first_slow = middle_log.index("slow-start")
     first_fast = middle_log.index("fast")

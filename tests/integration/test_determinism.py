@@ -6,16 +6,19 @@ counts, timings, and application outcomes. This is what makes the
 benchmark figures stable and the fault tests meaningful.
 """
 
-from repro.scenario.sim import Deployment
+from collections import Counter
+
+from repro.scenario.apps import BuiltApp, register_app
+from repro.scenario.spec import ScenarioBuilder
 from repro.ws.api import MessageContext, MessageHandler, Utils
+from tests.integration.scripted import run_sim
 
 
-def build_and_run(name: str):
-    deployment = Deployment(name=name)
-    deployment.declare("caller", 4)
-    deployment.declare("target", 4)
+@register_app("test_summing_target")
+def _build_summing_target(params: dict) -> BuiltApp:
+    """Replies with the running total of every request's ``x``."""
 
-    def target_app():
+    def app():
         total = 0
         while True:
             request = yield MessageHandler.receive_request()
@@ -24,10 +27,16 @@ def build_and_run(name: str):
                 MessageContext(body={"total": total}), request
             )
 
-    deployment.add_service("target", target_app)
+    return BuiltApp(factory=app)
+
+
+@register_app("test_random_caller")
+def _build_random_caller(params: dict) -> BuiltApp:
+    """Five calls carrying agreed random ``x``; the probe's ``trace``
+    holds each ``(x, total)``."""
     trace = []
 
-    def caller_app():
+    def app():
         rng = yield Utils.random()
         for i in range(5):
             x = rng.randint(0, 100)
@@ -36,17 +45,26 @@ def build_and_run(name: str):
             )
             trace.append((x, reply.body["total"]))
 
-    deployment.add_service("caller", caller_app)
-    deployment.run(seconds=120)
-    return deployment, trace
+    return BuiltApp(factory=app, probe=lambda: {"trace": trace})
+
+
+def build_and_run(name: str):
+    spec = (
+        ScenarioBuilder(name)
+        .service("target", n=4, app="test_summing_target")
+        .service("caller", n=4, app="test_random_caller")
+        .build()
+    )
+    runtime = run_sim(spec, until_s=120)
+    return runtime, runtime.metrics().services["caller"].app["trace"]
 
 
 def test_identical_runs_identical_traces():
-    d1, t1 = build_and_run("det")
-    d2, t2 = build_and_run("det")
+    r1, t1 = build_and_run("det")
+    r2, t2 = build_and_run("det")
     assert t1 == t2
-    assert d1.sim.events_processed == d2.sim.events_processed
-    assert d1.sim.now_us == d2.sim.now_us
+    assert r1.sim.events_processed == r2.sim.events_processed
+    assert r1.sim.now_us == r2.sim.now_us
 
 
 def test_different_deployment_names_differ_only_in_keys():
@@ -59,8 +77,6 @@ def test_different_deployment_names_differ_only_in_keys():
 def test_agreed_randomness_drives_consistent_totals():
     __, trace = build_and_run("det-rand")
     # 4 replicas x 5 calls; each (x, total) pair appears exactly 4 times.
-    from collections import Counter
-
     counts = Counter(trace)
     assert len(counts) == 5
     assert all(v == 4 for v in counts.values())

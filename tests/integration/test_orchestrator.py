@@ -6,9 +6,10 @@ replication degrees, consults the agreed clock, and compensates failures
 deterministically.
 """
 
-from repro.apps.orchestrator import inventory_app, orchestrator_app, shipping_app
-from repro.apps.payment import bank_app
-from repro.scenario.sim import Deployment
+from collections import Counter
+
+from repro.scenario.spec import ScenarioBuilder
+from tests.integration.scripted import run_sim
 
 ORDERS = [
     {"order_id": 1, "item": "widget", "qty": 2, "card": "4111",
@@ -22,33 +23,25 @@ ORDERS = [
 ]
 
 
-def build(n_orchestrator=4):
-    deployment = Deployment(name="saga")
-    deployment.declare("orchestrator", n_orchestrator)
-    deployment.declare("inventory", 4)
-    deployment.declare("payment", 1)
-    deployment.declare("shipping", 1)
-    stock = {"widget": 10, "gadget": 1}
-    deployment.add_service("inventory", inventory_app(stock))
-    deployment.add_service("payment", lambda: bank_app(card_limit_cents=5_000_00))
-    deployment.add_service("shipping", shipping_app())
-    log = []
-    deployment.add_service(
-        "orchestrator",
-        orchestrator_app(
-            ORDERS,
-            inventory_endpoint="inventory",
-            payment_endpoint="payment",
-            shipping_endpoint="shipping",
-            log=log,
-        ),
+def run_saga(n_orchestrator=4) -> list:
+    """Run the saga; one ``(order_id, outcome, started_at)`` entry per
+    completed saga and orchestrator replica."""
+    spec = (
+        ScenarioBuilder("saga")
+        .service("inventory", n=4, app="inventory",
+                 stock={"widget": 10, "gadget": 1})
+        .service("payment", n=1, app="bank", card_limit_cents=5_000_00)
+        .service("shipping", n=1, app="shipping")
+        .service("orchestrator", n=n_orchestrator, app="orchestrator",
+                 orders=ORDERS)
+        .build()
     )
-    return deployment, log
+    services = run_sim(spec, until_s=120).metrics().services
+    return [tuple(entry) for entry in services["orchestrator"].app["sagas"]]
 
 
 def test_saga_outcomes():
-    deployment, log = build()
-    deployment.run(seconds=120)
+    log = run_saga()
     # 4 replicas each log 4 sagas (entries interleave across replicas).
     assert len(log) == 16
     outcomes = {oid: out for oid, out, _ in log}
@@ -61,12 +54,9 @@ def test_saga_outcomes():
 
 
 def test_saga_deterministic_across_replicas():
-    deployment, log = build()
-    deployment.run(seconds=120)
+    log = run_saga()
     # Every (order, outcome, started_at) entry appears exactly once per
     # replica -- i.e. exactly 4 identical copies of 4 distinct entries.
-    from collections import Counter
-
     counts = Counter(log)
     assert len(counts) == 4
     assert all(count == 4 for count in counts.values())
@@ -75,16 +65,14 @@ def test_saga_deterministic_across_replicas():
 def test_compensation_releases_inventory():
     # Order 3's payment declines; its gadget reservation must be released
     # so order 4 (the only other gadget) can still ship.
-    deployment, log = build()
-    deployment.run(seconds=120)
+    log = run_saga()
     outcomes = {oid: out for oid, out, _ in log}
     assert outcomes[3] == "payment-declined"
     assert outcomes[4] == "shipped"
 
 
 def test_started_timestamps_agreed():
-    deployment, log = build()
-    deployment.run(seconds=120)
+    log = run_saga()
     starts = {}
     for oid, _, started_at in log:
         starts.setdefault(oid, set()).add(started_at)

@@ -6,11 +6,17 @@ the paper's "replicate existing passive deterministic Web Services ...
 without modification" claim.
 """
 
+from collections import Counter
+
+from repro.crypto.keys import KeyStore
 from repro.perpetual.executor import run_passive
-from repro.soap.envelope import SoapEnvelope
+from repro.perpetual.group import Topology, deploy_service
+from repro.scenario.apps import build_app
+from repro.scenario.spec import AppSpec
 from repro.soap.addressing import WsAddressing
-from repro.scenario.sim import Deployment
-from tests.integration.helpers import scripted_caller
+from repro.soap.envelope import SoapEnvelope
+from repro.ws.adapter import collecting_executor_factory
+from tests.integration.scripted import SCRIPTED_CALLER
 
 
 def passive_adder():
@@ -29,32 +35,38 @@ def passive_adder():
     return handle
 
 
-def test_passive_handler_replicated():
-    deployment = Deployment(name="passive")
-    deployment.declare("legacy", 4)
-    deployment.declare("caller", 1)
-    deployment.add_raw_service("legacy", lambda: run_passive(passive_adder())())
-    results = []
-    caller = deployment.add_service(
-        "caller", scripted_caller("legacy", calls=4, results=results)
+def deploy_passive(sim, name: str, n_caller: int, calls: int):
+    """A 4-replica passive ``legacy`` service, deployed at the executor
+    level (no SOAP adapter), and a scripted caller; returns the caller's
+    group and its built app."""
+    topology = Topology()
+    topology.add("legacy", 4)
+    topology.add("caller", n_caller)
+    keys = KeyStore.for_deployment(name)
+    deploy_service(
+        sim, topology, keys, "legacy",
+        lambda: run_passive(passive_adder())(),
     )
-    deployment.run(seconds=60)
-    assert caller.group.drivers[0].completed_calls == 4
-    assert [r["total"] for r in results] == [0, 1, 3, 6]
+    built = build_app(
+        AppSpec(SCRIPTED_CALLER, {"target": "legacy", "calls": calls})
+    )
+    caller = deploy_service(
+        sim, topology, keys, "caller",
+        collecting_executor_factory("caller", built.factory, []),
+    )
+    return caller, built
 
 
-def test_passive_handler_state_consistent():
-    deployment = Deployment(name="passive2")
-    deployment.declare("legacy", 4)
-    deployment.declare("caller", 4)
-    deployment.add_raw_service("legacy", lambda: run_passive(passive_adder())())
-    results = []
-    caller = deployment.add_service(
-        "caller", scripted_caller("legacy", calls=3, results=results)
-    )
-    deployment.run(seconds=60)
+def test_passive_handler_replicated(sim):
+    caller, built = deploy_passive(sim, "passive", n_caller=1, calls=4)
+    sim.run(until_us=60_000_000)
+    assert caller.drivers[0].completed_calls == 4
+    assert [r["total"] for r in built.probe()["replies"]] == [0, 1, 3, 6]
+
+
+def test_passive_handler_state_consistent(sim):
+    caller, built = deploy_passive(sim, "passive2", n_caller=4, calls=3)
+    sim.run(until_us=60_000_000)
     # Replicated caller: every replica sees the same totals.
-    from collections import Counter
-
-    totals = Counter(r["total"] for r in results)
+    totals = Counter(r["total"] for r in built.probe()["replies"])
     assert totals == {0: 4, 1: 4, 3: 4}

@@ -158,8 +158,9 @@ def test_process_runtime_shutdown_stops_parent_threads_without_workers():
 
 
 def test_scheme_qualified_endpoints_resolve_on_every_substrate():
-    # perpetual:// references resolve through the same static registry
-    # logic on all substrates, not just the simulator.
+    # perpetual:// references resolve through the same
+    # repro.ws.registry.service_name on all substrates, not just the
+    # simulator.
     from repro.scenario.spec import ScenarioBuilder
 
     spec = (

@@ -7,23 +7,20 @@ consistency at every tier.
 
 import pytest
 
-from repro.apps.payment import bank_app, pge_app
-from repro.scenario.sim import Deployment
+from repro.scenario.apps import BuiltApp, register_app
+from repro.scenario.spec import ScenarioBuilder
 from repro.ws.api import MessageContext, MessageHandler
+from tests.integration.scripted import run_sim
 
 
-def build_chain(n_store=1, n_pge=4, n_bank=4, synchronous=False, payments=4):
-    deployment = Deployment(name=f"chain-{synchronous}")
-    deployment.declare("store", n_store)
-    deployment.declare("pge", n_pge)
-    deployment.declare("bank", n_bank)
-    deployment.add_service("bank", bank_app)
-    deployment.add_service(
-        "pge", pge_app(bank_endpoint="bank", synchronous=synchronous)
-    )
+@register_app("test_store")
+def _build_store(params: dict) -> BuiltApp:
+    """``payments`` payments through ``pge``; the probe's ``outcomes``
+    holds each approval, or ``"FAULT"``."""
+    payments = params["payments"]
     outcomes = []
 
-    def store_app():
+    def app():
         for i in range(payments):
             reply = yield MessageHandler.send_receive(
                 MessageContext(
@@ -35,49 +32,52 @@ def build_chain(n_store=1, n_pge=4, n_bank=4, synchronous=False, payments=4):
                 "FAULT" if reply.is_fault else reply.body["approved"]
             )
 
-    store = deployment.add_service("store", store_app)
-    return deployment, outcomes, store
+    return BuiltApp(factory=app, probe=lambda: {"outcomes": outcomes})
+
+
+def run_chain(n_store=1, n_pge=4, n_bank=4, synchronous=False, payments=4):
+    spec = (
+        ScenarioBuilder(f"chain-{synchronous}")
+        .service("bank", n=n_bank, app="bank")
+        .service("pge", n=n_pge, app="pge", bank_endpoint="bank",
+                 synchronous=synchronous)
+        .service("store", n=n_store, app="test_store", payments=payments)
+        .build()
+    )
+    return run_sim(spec, until_s=120)
+
+
+def store_outcomes(runtime) -> list:
+    return runtime.metrics().services["store"].app["outcomes"]
 
 
 @pytest.mark.parametrize("synchronous", [False, True])
 def test_payments_flow_through_both_tiers(synchronous):
-    deployment, outcomes, store = build_chain(synchronous=synchronous)
-    deployment.run(seconds=120)
-    assert store.group.drivers[0].completed_calls == 4
-    assert outcomes == [True, True, True, True]
+    runtime = run_chain(synchronous=synchronous)
+    assert runtime._groups["store"].drivers[0].completed_calls == 4
+    assert store_outcomes(runtime) == [True, True, True, True]
 
 
 def test_replicated_store_chain():
-    deployment, outcomes, store = build_chain(n_store=4, payments=3)
-    deployment.run(seconds=120)
-    assert store.group.drivers[0].completed_calls == 3
+    runtime = run_chain(n_store=4, payments=3)
+    assert runtime._groups["store"].drivers[0].completed_calls == 3
+    outcomes = store_outcomes(runtime)
     assert len(outcomes) == 12
     assert all(o is True for o in outcomes)
 
 
 def test_gateway_volume_consistent_across_pge_replicas():
-    deployment, outcomes, store = build_chain(payments=5)
-    pge = deployment.services["pge"]
-    deployment.run(seconds=120)
-    served = {adapter.requests_served for adapter in pge.adapters}
+    runtime = run_chain(payments=5)
+    served = {adapter.requests_served for adapter in runtime._adapters["pge"]}
     assert served == {5}
 
 
 def test_mixed_degrees_along_chain():
-    deployment = Deployment(name="mixed-chain")
-    deployment.declare("store", 1)
-    deployment.declare("pge", 7)
-    deployment.declare("bank", 4)
-    deployment.add_service("bank", bank_app)
-    deployment.add_service("pge", pge_app())
-    results = []
-
-    def store_app():
-        reply = yield MessageHandler.send_receive(
-            MessageContext(to="pge", body={"card": "4", "amount_cents": 5})
-        )
-        results.append(reply.body["approved"])
-
-    deployment.add_service("store", store_app)
-    deployment.run(seconds=120)
-    assert results == [True]
+    spec = (
+        ScenarioBuilder("mixed-chain")
+        .service("bank", n=4, app="bank")
+        .service("pge", n=7, app="pge")
+        .service("store", n=1, app="test_store", payments=1)
+        .build()
+    )
+    assert store_outcomes(run_sim(spec, until_s=120)) == [True]

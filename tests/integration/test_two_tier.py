@@ -5,66 +5,56 @@ Services" row: calling and target services at every paper replication
 degree combination complete requests with consistent replica state.
 """
 
+from collections import Counter
+
 import pytest
 
-from tests.integration.helpers import build_two_tier
+from repro.scenario.sim import SimRuntime
+from tests.integration.scripted import replies, run_sim, two_tier
 
 
 @pytest.mark.parametrize(
     "nc,nt", [(1, 1), (1, 4), (4, 1), (4, 4), (4, 7), (7, 4)]
 )
 def test_degree_combinations(nc, nt):
-    deployment, results, caller, target = build_two_tier(nc, nt, calls=5)
-    deployment.run(seconds=60)
+    runtime = run_sim(two_tier(nc, nt, calls=5).build(), until_s=60)
     # Replica 0's driver completed every logical call exactly once.
-    assert caller.group.drivers[0].completed_calls == 5
+    assert runtime._groups["caller"].drivers[0].completed_calls == 5
     # Every correct caller replica saw the identical reply set: nc
     # replicas each append 5 results (entries interleave across replicas),
     # so each counter value appears exactly nc times.
+    results = replies(runtime)
     assert len(results) == nc * 5
-    from collections import Counter
-
     counts = Counter(r["counter"] for r in results)
     assert counts == {k: nc for k in range(1, 6)}
 
 
 def test_target_state_consistent_across_replicas():
-    deployment, results, caller, target = build_two_tier(4, 4, calls=8)
-    deployment.run(seconds=60)
+    runtime = run_sim(two_tier(4, 4, calls=8).build(), until_s=60)
+    voters = runtime._groups["target"].voters
     # Each target voter delivered all 8 requests to its driver.
-    for voter in target.group.voters:
+    for voter in voters:
         assert voter.delivered_requests == 8
     # And agreement executed identically everywhere.
-    executed = [v.replica.executed_requests for v in target.group.voters]
+    executed = [v.replica.executed_requests for v in voters]
     assert len(set(executed)) == 1
 
 
 def test_exactly_once_despite_retransmissions():
     # Retransmit timers fire aggressively; execution must stay exactly-once.
-    from repro.scenario.sim import Deployment
-    from tests.integration.helpers import counter_service, scripted_caller
-
-    deployment = Deployment(name="rtx")
-    deployment.declare("caller", 4)
-    deployment.declare("target", 4)
-    deployment.add_service("target", counter_service())
-    results = []
-    caller = deployment.add_service(
-        "caller", scripted_caller("target", 5, results)
-    )
+    runtime = SimRuntime().deploy(two_tier(4, 4, calls=5, name="rtx").build())
     # Shrink the drivers' retransmit timeout below the request RTT so
     # every request is retransmitted at least once.
-    for driver in caller.group.drivers:
+    for driver in runtime._groups["caller"].drivers:
         driver._retransmit_timeout_us = 2_000
-    deployment.run(seconds=60)
-    final = [r["counter"] for r in results if r != "FAULT"]
+    runtime.run(until_s=60)
+    final = [r["counter"] for r in replies(runtime) if r != "FAULT"]
     assert max(final) == 5  # not 6+: no double execution
 
 
 def test_throughput_counters_exposed():
-    deployment, results, caller, target = build_two_tier(4, 4, calls=3)
-    deployment.run(seconds=60)
-    driver = caller.group.drivers[0]
+    runtime = run_sim(two_tier(4, 4, calls=3).build(), until_s=60)
+    driver = runtime._groups["caller"].drivers[0]
     assert driver.completed_calls == 3
     assert driver.first_issue_us is not None
     assert driver.last_completion_us > driver.first_issue_us

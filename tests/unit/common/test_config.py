@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import ReplicationConfig, ServiceSpec, make_spec
+from repro.common.config import ReplicationConfig, make_spec
 from repro.common.errors import ConfigurationError
 from repro.common.ids import NodeId, ServiceId
 
@@ -38,23 +38,6 @@ class TestServiceSpec:
         assert len(spec.replicas()) == 4
         assert [v.role for v in spec.voters()] == [NodeId.VOTER] * 4
         assert [d.role for d in spec.drivers()] == [NodeId.DRIVER] * 4
-
-    def test_default_endpoints_synthesised(self):
-        spec = make_spec("pge", 4)
-        assert spec.endpoint_of(2) == "perpetual://pge/2"
-
-    def test_explicit_endpoints(self):
-        spec = make_spec("pge", 2 + 2, endpoints=("a", "b", "c", "d"))
-        assert spec.endpoint_of(0) == "a"
-        assert spec.endpoint_of(3) == "d"
-
-    def test_endpoint_count_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_spec("pge", 4, endpoints=("a", "b"))
-
-    def test_duplicate_endpoints_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_spec("pge", 4, endpoints=("a", "a", "b", "c"))
 
     def test_service_identity(self):
         spec = make_spec("bank", 1)

@@ -1,88 +1,57 @@
-"""Unit tests for the simulator's imperative Deployment facade.
-
-``Deployment`` lives in :mod:`repro.scenario.sim`; this file stays under
-``tests/unit/ws`` because it checks the WS-level surface of the facade
-(``replicas.xml`` declaration, registry resolution, adapter-per-replica
-deployment), and its test ids are part of the recorded suite floor.
-"""
+"""Deploying a spec onto the simulator: run bounds and topology lookups."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.scenario.sim import Deployment
-from repro.ws.api import MessageContext, MessageHandler
+from repro.perpetual.group import Topology
+from repro.scenario.sim import SimRuntime
+from repro.scenario.spec import ScenarioBuilder
 
 
-def idle_app():
-    while True:
-        request = yield MessageHandler.receive_request()
-        yield MessageHandler.send_reply(MessageContext(body=None), request)
+def deploy(*services: tuple[str, int]) -> SimRuntime:
+    builder = ScenarioBuilder("declared")
+    for name, n in services:
+        builder.service(name, n=n, app="echo")
+    return SimRuntime().deploy(builder.build())
 
 
 class TestDeclaration:
     def test_declare_then_add(self):
-        deployment = Deployment(name="d1")
-        deployment.declare("svc", 4)
-        deployed = deployment.add_service("svc", idle_app)
-        assert deployed.n == 4
-        assert len(deployed.adapters) == 4
+        runtime = deploy(("svc", 4))
+        assert runtime._groups["svc"].n == 4
+        assert len(runtime._adapters["svc"]) == 4
 
     def test_add_with_inline_degree(self):
-        deployment = Deployment(name="d2")
-        deployed = deployment.add_service("svc", idle_app, n=7)
-        assert deployed.n == 7
-
-    def test_undeclared_without_degree_rejected(self):
-        deployment = Deployment(name="d3")
-        with pytest.raises(ConfigurationError):
-            deployment.add_service("svc", idle_app)
+        assert deploy(("svc", 7))._groups["svc"].n == 7
 
     def test_conflicting_degree_rejected(self):
-        deployment = Deployment(name="d4")
-        deployment.declare("svc", 4)
+        # One service, two degrees: a spec names each service once.
         with pytest.raises(ConfigurationError):
-            deployment.add_service("svc", idle_app, n=7)
-
-    def test_declare_from_xml(self):
-        deployment = Deployment(name="d5")
-        deployment.declare_from_xml(
-            """
-            <replicas>
-              <service name="pge" replicas="4"/>
-              <service name="bank" replicas="1"/>
-            </replicas>
-            """
-        )
-        assert deployment.topology.spec("pge").n == 4
-        assert deployment.registry.resolve("perpetual://bank").n == 1
-        pge = deployment.add_service("pge", idle_app)
-        assert pge.n == 4
+            deploy(("svc", 4), ("svc", 7))
 
 
 class TestTopologyQueries:
-    def test_registry_mirrors_topology(self):
-        deployment = Deployment(name="d6")
-        deployment.declare("a", 4)
-        deployment.declare("b", 1)
-        assert deployment.registry.known_services() == ["a", "b"]
-
     def test_unknown_service_spec_raises(self):
-        deployment = Deployment(name="d7")
+        topology = Topology()
+        topology.add("svc", 4)
         with pytest.raises(ConfigurationError):
-            deployment.topology.spec("ghost")
+            topology.spec("ghost")
 
 
 class TestRun:
     def test_run_bounded_by_time(self):
-        deployment = Deployment(name="d8")
-        deployment.declare("svc", 1)
-        deployment.add_service("svc", idle_app)
-        deployment.run(seconds=0.5)
-        assert deployment.now_us == 500_000
+        spec = ScenarioBuilder("d8").service("svc", n=1, app="echo").build()
+        runtime = SimRuntime().deploy(spec)
+        runtime.run(until_s=0.5)
+        assert runtime.sim.now_us == 500_000
 
     def test_run_bounded_by_events(self):
-        deployment = Deployment(name="d9")
-        deployment.declare("svc", 4)
-        deployment.add_service("svc", idle_app)
-        processed = deployment.run(max_events=3)
-        assert processed <= 3
+        spec = (
+            ScenarioBuilder("d9")
+            .service("svc", n=4, app="echo")
+            .max_events(3)
+            .build()
+        )
+        runtime = SimRuntime().deploy(spec)
+        runtime.run()
+        assert runtime.sim.events_processed <= 3

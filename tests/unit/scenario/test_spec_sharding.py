@@ -52,7 +52,7 @@ class TestValidationNegatives:
         with pytest.raises(ConfigurationError, match="unknown routing policy"):
             spec_with(
                 groups=[GroupSpec(name="g0", services=(decl("svc"),))],
-                routing=RoutingSpec(policy="round_robin"),
+                routing=RoutingSpec(policy="least_loaded"),
             ).validate()
 
     def test_routing_without_groups(self):

@@ -20,10 +20,8 @@ SRC = ROOT / "src"
 ENTRY_DIRS = ("bench", "benchmarks", "examples", "tools")
 ENTRY_MODULES = ("repro.experiments.__main__", "repro.analysis.__main__")
 
-# Paper section 7's deterministic scheduler (round-robin over several
-# application coroutines): the paper plans it as an extension, and only
-# its own tests exercise it; no deployment or entry point runs it.
-EXEMPT = {"repro.perpetual.scheduler"}
+# Modules allowed to be unreachable, each with the reason in a comment.
+EXEMPT: set[str] = set()
 
 
 def _module_name(path: Path, base: Path) -> str:

@@ -1,100 +1,9 @@
-"""Unit tests for the service registry and replicas.xml descriptor."""
+"""Unit tests for ``perpetual://`` endpoint-reference resolution."""
 
-import pytest
-
-from repro.common.config import make_spec
-from repro.common.errors import ConfigurationError
-from repro.ws.descriptor import parse_replicas_xml, render_replicas_xml
-from repro.ws.registry import ServiceRegistry
+from repro.ws.registry import service_name
 
 
 class TestRegistry:
-    def test_register_and_resolve(self):
-        registry = ServiceRegistry()
-        registry.register(make_spec("pge", 4))
-        assert registry.resolve("perpetual://pge").n == 4
-        assert registry.resolve("pge").n == 4
-
-    def test_resolve_with_replica_path(self):
-        registry = ServiceRegistry()
-        registry.register(make_spec("pge", 4))
-        assert registry.resolve("perpetual://pge/2").n == 4
-
-    def test_unknown_endpoint_raises(self):
-        registry = ServiceRegistry()
-        with pytest.raises(ConfigurationError):
-            registry.resolve("perpetual://ghost")
-
-    def test_deregister(self):
-        registry = ServiceRegistry()
-        registry.register(make_spec("pge", 4))
-        registry.deregister("pge")
-        with pytest.raises(ConfigurationError):
-            registry.resolve("pge")
-
-    def test_known_services_sorted(self):
-        registry = ServiceRegistry()
-        registry.register(make_spec("zeta", 1))
-        registry.register(make_spec("alpha", 1))
-        assert registry.known_services() == ["alpha", "zeta"]
-
     def test_service_name_extraction(self):
-        assert ServiceRegistry.service_name("perpetual://bank/3") == "bank"
-        assert ServiceRegistry.service_name("bank") == "bank"
-
-
-class TestDescriptor:
-    def test_parse_basic(self):
-        specs = parse_replicas_xml(
-            """
-            <replicas>
-              <service name="pge" replicas="4"/>
-              <service name="bank" replicas="7"/>
-            </replicas>
-            """
-        )
-        by_name = {str(s.service): s for s in specs}
-        assert by_name["pge"].n == 4
-        assert by_name["pge"].f == 1
-        assert by_name["bank"].n == 7
-
-    def test_parse_with_endpoints(self):
-        specs = parse_replicas_xml(
-            """
-            <replicas>
-              <service name="pge" replicas="2">
-                <endpoint>h1:8443</endpoint>
-                <endpoint>h2:8443</endpoint>
-              </service>
-            </replicas>
-            """
-        )
-        assert specs[0].endpoints == ("h1:8443", "h2:8443")
-
-    def test_default_replicas_is_one(self):
-        specs = parse_replicas_xml('<replicas><service name="x"/></replicas>')
-        assert specs[0].n == 1
-
-    @pytest.mark.parametrize(
-        "document",
-        [
-            "<replicas><service/></replicas>",  # missing name
-            '<replicas><service name="x" replicas="0"/></replicas>',
-            '<replicas><service name="x" replicas="-2"/></replicas>',
-            '<wrong><service name="x"/></wrong>',
-            "<replicas><service name='x' replicas='2'>"
-            "<endpoint>only-one</endpoint></service></replicas>",
-            "not xml at all",
-        ],
-    )
-    def test_invalid_documents_rejected(self, document):
-        with pytest.raises(ConfigurationError):
-            parse_replicas_xml(document)
-
-    def test_render_roundtrip(self):
-        specs = [make_spec("pge", 4), make_spec("rbe", 1)]
-        rendered = render_replicas_xml(specs)
-        reparsed = parse_replicas_xml(rendered)
-        assert [(str(s.service), s.n) for s in reparsed] == [
-            ("pge", 4), ("rbe", 1),
-        ]
+        assert service_name("perpetual://bank/3") == "bank"
+        assert service_name("bank") == "bank"
