@@ -16,6 +16,10 @@ class GroupConfig:
     of K, following Castro & Liskov's suggestion of a small multiple);
     ``batch_size`` the maximum requests the primary folds into one
     pre-prepare, reproducing the pipelining of the Perpetual prototype.
+    A batch holds the requests pending when the primary proposes: under
+    tick batching that is once per tick (every item of one mailbox
+    drain), otherwise at every submit, where a batch fills only with
+    what queued while the window was full or a view change was on.
     """
 
     n: int

@@ -15,11 +15,12 @@ and nothing else, so a peer cannot inject an item.
 
 The implementation follows Castro & Liskov (OSDI'99) with MAC
 authenticators: three-phase normal case (pre-prepare, prepare, commit),
-request batching at the primary, checkpointing every K sequence numbers
-with garbage collection, and view changes carrying checkpoint and
-prepared-certificate proofs. Authentication is enforced one layer below
-(the ChannelAdapter verifies before the voter feeds messages in), so this
-module trusts ``src_index``.
+request batching at the primary (at each submit, or once per tick of the
+embedder), checkpointing every K sequence numbers with garbage
+collection, and view changes carrying checkpoint and prepared-certificate
+proofs. Authentication is enforced one layer below (the ChannelAdapter
+verifies before the voter feeds messages in), so this module trusts
+``src_index``.
 """
 
 from __future__ import annotations
@@ -49,8 +50,11 @@ VIEW_CHANGE_TIMER = "clbft-view-change"
 NULL_DIGEST = digest(("null",))
 
 # Backups sharing one decoded pre-prepare share its requests tuple, so
-# the batch digest is computed once per batch, not once per backup.
-_BATCH_DIGESTS = IdentityMemo()
+# the batch digest is computed once per batch, not once per backup. A
+# batch is looked up again only while in flight (at most ``log_window``
+# per group), and each entry pins a whole batch of items, so the bound
+# is four groups at the default window.
+_BATCH_DIGESTS = IdentityMemo(limit=256)
 
 
 def batch_digest(requests: tuple) -> bytes:
@@ -70,7 +74,15 @@ def request_key(request: ClientRequest) -> tuple[str, int]:
 
 
 class ClbftReplica:
-    """One member of a CLBFT group."""
+    """One member of a CLBFT group.
+
+    With ``propose_at_tick`` a primary does not propose inside
+    :meth:`submit`: the embedder calls :meth:`propose_pending` at the end
+    of each tick (one handler on the simulator, one mailbox drain on a
+    real clock), so every item submitted during the tick shares
+    pre-prepares of up to ``config.batch_size`` items. Entering a view
+    and a sliding watermark window still propose at once.
+    """
 
     def __init__(
         self,
@@ -84,6 +96,7 @@ class ClbftReplica:
         state_digest: Callable[[], bytes] | None = None,
         on_new_view: Callable[[int], None] | None = None,
         on_stable_checkpoint: Callable[[int], None] | None = None,
+        propose_at_tick: bool = False,
     ) -> None:
         self.config = config
         self.index = index
@@ -97,6 +110,7 @@ class ClbftReplica:
         self._state_digest = state_digest or (lambda: digest(self.log.last_executed))
         self._new_view_callback = on_new_view
         self._stable_checkpoint_callback = on_stable_checkpoint
+        self._propose_at_tick = propose_at_tick
 
         self.view = 0
         self.log = MessageLog(config)
@@ -148,7 +162,8 @@ class ClbftReplica:
         Replicas that are not the primary rely on the submission also
         reaching the primary (every voter submits the same item) and use
         the view-change timer for liveness. An item already executed is
-        ignored.
+        ignored. A primary proposes at once, or at :meth:`propose_pending`
+        under ``propose_at_tick``.
         """
         key = request_key(request)
         if key in self._executed_keys:
@@ -157,9 +172,17 @@ class ClbftReplica:
         if key in self._pending or key in self._proposed:
             return
         self._pending[key] = request
-        if self.is_primary and not self.in_view_change:
-            self._try_propose()
+        if not self._propose_at_tick:
+            self.propose_pending()
         self._ensure_timer()
+
+    def propose_pending(self) -> None:
+        """Primary: propose the pending items (the end of a tick under
+        ``propose_at_tick``). Items an n == 1 primary's execution submits
+        meanwhile join the same loop, so none is left for a tick that
+        may never come."""
+        if self._pending and self.is_primary and not self.in_view_change:
+            self._try_propose()
 
     def _try_propose(self) -> None:
         """Primary: fold pending requests into pre-prepares while the
@@ -642,8 +665,7 @@ class ClbftReplica:
                 self._proposed.discard(key)
                 if key in self._all_submitted:
                     self._pending[key] = self._all_submitted[key]
-        if self.is_primary:
-            self._try_propose()
+        self.propose_pending()
         self._maybe_execute()
         self._ensure_timer()
         stashed, self._ahead = self._ahead, {}

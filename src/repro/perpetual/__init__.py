@@ -24,7 +24,8 @@ Contract: voters and drivers are deterministic protocol nodes speaking
 only through their ChannelAdapter (encode-once / digest-once, see
 ``docs/architecture.md``); with batching enabled they expose the
 ``wants_flush``/``on_flush`` hooks the substrates call at the end of a
-tick (a handler on the simulator, a mailbox drain on a real clock).
+tick (a handler on the simulator, a mailbox drain on a real clock); under
+``"tick"`` a voter's primary proposes there too, before the flush.
 """
 
 from repro.perpetual.executor import (

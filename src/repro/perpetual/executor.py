@@ -194,6 +194,12 @@ class ExecutorRuntime:
     resume the generator as far as it can go; :meth:`take_outbox` returns
     the externally visible effects accumulated during the resume, in
     deterministic order.
+
+    Per-call state lasts only while a call is open (issued, reply not yet
+    claimed), so it is bounded by the calls in flight, not by the calls
+    ever made. A closed call is recognised by its id alone: ids come from
+    one monotone allocator, so every id at or below the last one issued
+    that is no longer open was claimed.
     """
 
     def __init__(
@@ -210,15 +216,15 @@ class ExecutorRuntime:
         # The local event queue: agreed events in agreement order (the
         # paper's stages 3 and 9 both enqueue here).
         self._events: list[RequestEvent | ReplyEvent] = []
-        self._reply_by_id: dict[RequestId, ReplyEvent] = {}
-        self._claimed: set[RequestId] = set()
+        # Open calls: issued, reply not yet claimed -> the delivered reply,
+        # or None while it is still awaited.
+        self._open: dict[RequestId, ReplyEvent | None] = {}
+        self._last_issued: RequestId | None = None
         self._utility_value: tuple[str, int] | None = None
         self._utility_requested = False
         self._sleep_requested = False
         self._woke = False
         self._outbox = _Outbox()
-        # Requests this executor has issued (for validation).
-        self._issued: set[RequestId] = set()
         self.steps = 0
 
     # -- driver-facing input ------------------------------------------------
@@ -227,9 +233,13 @@ class ExecutorRuntime:
         self._events.append(event)
 
     def deliver_reply(self, event: ReplyEvent) -> None:
-        if event.request_id in self._reply_by_id:
-            return  # duplicate agreement delivery; keep the first
-        self._reply_by_id[event.request_id] = event
+        """Queue the reply of an open call. A duplicate agreement delivery
+        (the call's reply already delivered or claimed) is dropped, and
+        so is a reply for a request this executor never sent."""
+        request_id = event.request_id
+        if request_id not in self._open or self._open[request_id] is not None:
+            return
+        self._open[request_id] = event
         self._events.append(event)
 
     def deliver_utility(self, utility: str, value: int) -> None:
@@ -291,7 +301,8 @@ class ExecutorRuntime:
         while True:
             if isinstance(effect, Send):
                 request_id = self._allocate()
-                self._issued.add(request_id)
+                self._open[request_id] = None
+                self._last_issued = request_id
                 self._outbox.sends.append((request_id, effect))
                 resume_value = request_id
             elif isinstance(effect, SendReply):
@@ -325,7 +336,7 @@ class ExecutorRuntime:
             if self._events:
                 event = self._events.pop(0)
                 if isinstance(event, ReplyEvent):
-                    self._claimed.add(event.request_id)
+                    del self._open[event.request_id]
                 return event
             return _UNSATISFIED
         if isinstance(waiting, ReceiveReply):
@@ -365,15 +376,17 @@ class ExecutorRuntime:
 
     def _match_reply(self, waiting: ReceiveReply) -> Any:
         if waiting.request is not None:
-            if waiting.request not in self._issued:
-                raise ExecutorViolation(
-                    f"receiveReply for request {waiting.request} that this "
-                    "executor never sent"
-                )
-            event = self._reply_by_id.get(waiting.request)
-            if event is None or event.request_id in self._claimed:
+            if waiting.request not in self._open:
+                if not self._sent(waiting.request):
+                    raise ExecutorViolation(
+                        f"receiveReply for request {waiting.request} that "
+                        "this executor never sent"
+                    )
+                return _UNSATISFIED  # its reply was claimed already
+            event = self._open[waiting.request]
+            if event is None:
                 return _UNSATISFIED
-            self._claimed.add(event.request_id)
+            del self._open[event.request_id]
             self._events = [
                 e
                 for e in self._events
@@ -386,9 +399,18 @@ class ExecutorRuntime:
         for i, event in enumerate(self._events):
             if isinstance(event, ReplyEvent):
                 self._events.pop(i)
-                self._claimed.add(event.request_id)
+                del self._open[event.request_id]
                 return event
         return _UNSATISFIED
+
+    def _sent(self, request_id: RequestId) -> bool:
+        """Whether this executor issued ``request_id`` (open or closed)."""
+        last = self._last_issued
+        return request_id in self._open or (
+            last is not None
+            and request_id.origin == last.origin
+            and request_id.seqno <= last.seqno
+        )
 
 
 class _Unsatisfied:

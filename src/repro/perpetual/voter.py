@@ -302,6 +302,7 @@ class VoterNode(ProtocolNode):
             cancel_timer=env.cancel_timer,
             on_new_view=self._on_clbft_new_view,
             on_stable_checkpoint=self._on_stable_checkpoint,
+            propose_at_tick=self.wants_flush,
         )
 
     @property
@@ -365,6 +366,8 @@ class VoterNode(ProtocolNode):
         self.replica.on_timer(tag)
 
     def on_flush(self) -> None:
+        # Propose first: the tick's pre-prepares ride in the same flush.
+        self.replica.propose_pending()
         self._channel.flush()
 
     # -- network messages ---------------------------------------------------

@@ -1,6 +1,6 @@
 """Integration: channel-layer batching across scenarios and substrates.
 
-Four pins from the batching tentpole:
+Pins of channel-layer batching:
 
 - ``batching="off"`` is bit-identical to the pre-batching goldens
   captured from PR 7 (``tests/data/golden_pr7_sim.json``) — every
@@ -10,6 +10,8 @@ Four pins from the batching tentpole:
   completing the identical workload;
 - the same ``batching="tick"`` spec completes on every substrate — that
   parity run lives in the conformance matrix (``test_conformance.py``);
+- a ``tick`` primary proposes once per tick, so on a real clock, where a
+  tick is one mailbox drain, the items of one drain share a pre-prepare;
 - ``delay`` and ``byzantine`` faults keep their per-message semantics
   when the channel batches (every message inside a batch is delayed;
   equivocation rewrites individual agreement messages above the batch).
@@ -19,9 +21,12 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import pytest
+
 from repro.scenario.presets import two_tier_scenario
-from repro.scenario.runtime import run_scenario
+from repro.scenario.runtime import get_runtime, run_scenario
 from repro.scenario.spec import ScenarioBuilder
+from tests.integration.conformance import run_on
 
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "data" / "golden_pr7_sim.json").read_text()
@@ -103,6 +108,44 @@ class TestTickModeAggregates:
         a = run_scenario(spec, runtime="sim")
         b = run_scenario(spec, runtime="sim")
         assert asdict(a) == asdict(b)
+
+
+class TestTickFoldsAgreement:
+    def test_real_clock_primary_folds_a_drain_into_one_pre_prepare(self):
+        calls = 200
+        spec = two_tier_scenario(
+            n_calling=4, n_target=4, total_calls=calls, window=10,
+            batching="tick", name="tick-fold",
+        )
+        rt = get_runtime("asyncio")
+        metrics = run_on(rt, spec)
+        assert metrics.services["caller"].completed_calls == calls
+        assert metrics.services["caller"].aborted_calls == 0
+        assert metrics.counters["view_changes"] == 0
+        primary = rt._groups["target"].voters[0].replica
+        assert primary.is_primary
+        assert primary.executed_requests == calls
+        # Proposing inside submit gives one batch per item (ratio 1.0).
+        assert primary.committed_batches <= 0.5 * primary.executed_requests
+
+    @pytest.mark.parametrize("runtime", ["sim", "asyncio"])
+    def test_unreplicated_target_strands_no_proposal(self, runtime):
+        # n == 1: the primary commits and executes inside its own
+        # proposal, so anything that execution submits must still be
+        # proposed before the tick ends.
+        calls = 40
+        spec = two_tier_scenario(
+            n_calling=4, n_target=1, total_calls=calls, window=10,
+            batching="tick", name=f"tick-n1-{runtime}",
+        )
+        rt = get_runtime(runtime)
+        metrics = run_on(rt, spec)
+        assert metrics.services["caller"].completed_calls == calls
+        assert metrics.services["caller"].aborted_calls == 0
+        assert metrics.services["target"].requests_served == calls
+        for group in rt._groups.values():
+            for voter in group.voters:
+                assert not voter.replica._pending
 
 
 # Cross-substrate tick-batching parity moved to the conformance matrix

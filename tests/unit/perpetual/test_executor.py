@@ -170,6 +170,81 @@ class TestBlockingReceives:
         runtime.step()
         assert [e.payload for e in got] == ["first"]
 
+    def test_duplicate_after_claim_ignored(self):
+        got = []
+
+        def app():
+            rid = yield Send("t", 1)
+            got.append((yield ReceiveReply(rid)))
+            got.append((yield ReceiveAny()))
+
+        runtime = make_runtime(app)
+        runtime.step()
+        rid = RequestId(ServiceId("me"), 1)
+        runtime.deliver_reply(ReplyEvent(rid, "first"))
+        runtime.step()
+        runtime.deliver_reply(ReplyEvent(rid, "late copy"))
+        runtime.step()
+        assert [e.payload for e in got] == ["first"]
+
+    def test_reply_for_request_never_sent_dropped(self):
+        got = []
+
+        def app():
+            yield Send("t", 1)
+            got.append((yield ReceiveAny()))
+
+        runtime = make_runtime(app)
+        runtime.step()
+        runtime.deliver_reply(ReplyEvent(RequestId(ServiceId("me"), 2), "x"))
+        runtime.deliver_reply(ReplyEvent(RequestId(ServiceId("other"), 1), "y"))
+        runtime.step()
+        assert got == []
+
+    def test_claimed_request_still_counts_as_sent(self):
+        got = []
+
+        def app():
+            rid = yield Send("t", 1)
+            got.append((yield ReceiveReply(rid)))
+            got.append((yield ReceiveReply(rid)))
+
+        runtime = make_runtime(app)
+        runtime.step()
+        runtime.deliver_reply(ReplyEvent(RequestId(ServiceId("me"), 1), "r"))
+        runtime.step()  # the second wait blocks; it does not raise
+        assert [e.payload for e in got] == ["r"]
+        assert not runtime.finished
+
+    @pytest.mark.parametrize("claim", ["by_id", "any"])
+    def test_call_state_bounded_by_window(self, claim):
+        calls, window = 500, 10
+
+        def app():
+            issued = []
+            for _ in range(window):
+                issued.append((yield Send("t", 0)))
+            for _ in range(calls):
+                if claim == "by_id":
+                    yield ReceiveReply(issued.pop(0))
+                else:
+                    yield ReceiveAny()
+                issued.append((yield Send("t", 0)))
+
+        runtime = make_runtime(app)
+        in_flight = []
+        for _ in range(calls):
+            runtime.step()
+            in_flight += [rid for rid, _ in runtime.take_outbox().sends]
+            # Replies land newest first, each delivered twice.
+            rid = in_flight.pop()
+            runtime.deliver_reply(ReplyEvent(rid, "r"))
+            runtime.deliver_reply(ReplyEvent(rid, "dup"))
+            assert len(runtime._open) <= window
+        runtime.step()
+        assert len(runtime._open) == window
+        assert len(runtime._events) == 0
+
     def test_receive_any_interleaves_requests_and_replies(self):
         log = []
 
