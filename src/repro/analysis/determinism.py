@@ -188,15 +188,15 @@ class IdentityKeyRule(DeterminismRule):
     rationale = (
         "id() values are allocation addresses: never stable across "
         "replicas, replays, or process boundaries. Match keys must be "
-        "content-derived (digests); identity memoisation belongs in "
-        "repro.common.encoding.IdentityMemo, which owns the lifetime "
-        "hazards."
+        "content-derived (digests); a value derived from one object is "
+        "cached on that object (functools.cached_property, or "
+        "repro.common.encoding.derived), so it lives exactly as long."
     )
 
     def check(self, src: SourceFile) -> Iterator[Violation]:
         message = (
             "id()-keyed lookup — key on content (digest/match key) or "
-            "use repro.common.encoding.IdentityMemo"
+            "cache the value on the object itself"
         )
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Subscript) and _is_id_call(node.slice):

@@ -8,8 +8,8 @@ code that encodes, digests, or builds envelopes by hand is flagged at
 review time, not after a perf regression.
 
 Suppressions (``# analysis: allow(WIRE00x) — reason``) mark the
-deliberate exceptions: match-key derivations that are memoized per
-message object, MAC-input bytes both ends must derive independently,
+deliberate exceptions: match-key derivations cached on the message
+object they key, MAC-input bytes both ends must derive independently,
 and the per-payload decode and digest of stage-2 request items.
 """
 
@@ -95,7 +95,7 @@ def _named_calls(src: SourceFile, names: frozenset[str]) -> Iterator[ast.Call]:
     """Calls made directly through one of ``names``.
 
     Only ``Name`` callees count: passing a codec as an argument
-    (``encode=encode_message``) hands it to the channel, which is the
+    (``decode=decode_perpetual``) hands it to the channel, which is the
     sanctioned path.
     """
     for node in ast.walk(src.tree):
@@ -115,7 +115,7 @@ class DirectCodecRule(Rule):
         "Every encode outside ChannelAdapter/WireBlob is a second walk "
         "over the same message — the encode-once contract the METRICS "
         "counters pin at runtime. Send objects (or WireBlobs) through "
-        "the channel; inject codecs via the encode=/decode= parameters. "
+        "the channel; inject a decoder via the decode= parameter. "
         "The binary envelope form (envelope_to_bytes/envelope_from_bytes) "
         "is narrower still: transport/ and scenario/process.py only; the "
         "plain-data envelope form (envelope_to_wire/envelope_from_wire) is "
@@ -165,10 +165,12 @@ class DirectDigestRule(Rule):
     id = "WIRE002"
     title = "no direct digest calls outside the wire/crypto layer"
     rationale = (
-        "WireBlob.digest and WireEnvelope.payload_digest memoize one "
+        "WireBlob.digest and WireEnvelope.payload_digest cache one "
         "digest per message; a bare digest()/digest_hex() call "
         "recomputes per caller and silently defeats the digest-once "
-        "contract. Derived keys must be memoized (IdentityMemo) and "
+        "contract. A derived key must be cached on the object it is "
+        "derived from (functools.cached_property, or "
+        "repro.common.encoding.derived from a higher layer) and "
         "documented with a suppression."
     )
 
@@ -193,8 +195,8 @@ class DirectDigestRule(Rule):
                 self,
                 node,
                 f"direct {node.func.id}() call — share "
-                "WireBlob.digest/payload_digest or memoize via "
-                "IdentityMemo, then suppress with a justification",
+                "WireBlob.digest/payload_digest or cache it on the object "
+                "it is derived from, then suppress with a justification",
             )
 
 

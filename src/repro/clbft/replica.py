@@ -39,35 +39,14 @@ from repro.clbft.messages import (
     Prepare,
     PreparedProof,
     ViewChange,
-    encode_message,
+    batch_digest,
 )
-from repro.common.encoding import IdentityMemo
 from repro.common.metrics import METRICS
 from repro.crypto.digest import digest
 
 VIEW_CHANGE_TIMER = "clbft-view-change"
 # analysis: allow(WIRE002) — module constant, digested once at import
 NULL_DIGEST = digest(("null",))
-
-# Backups sharing one decoded pre-prepare share its requests tuple, so
-# the batch digest is computed once per batch, not once per backup. A
-# batch is looked up again only while in flight (at most ``log_window``
-# per group), and each entry pins a whole batch of items, so the bound
-# is four groups at the default window.
-_BATCH_DIGESTS = IdentityMemo(limit=256)
-
-
-def batch_digest(requests: tuple) -> bytes:
-    """Digest of a request batch (the value agreement is run on).
-
-    Taken over the canonical encoding in one walk; every replica uses
-    this same function, so only internal consistency matters.
-    """
-    # analysis: allow(WIRE001, WIRE002) — computed once per batch object
-    # via the IdentityMemo above; backups sharing a decoded pre-prepare
-    # share the result
-    return _BATCH_DIGESTS.get(requests, lambda r: digest(encode_message(r)))
-
 
 def request_key(request: ClientRequest) -> tuple[str, int]:
     return (request.client, request.timestamp)
@@ -230,7 +209,7 @@ class ClbftReplica:
         elif isinstance(msg, Commit):
             self._on_commit(src_index, msg)
         elif isinstance(msg, Checkpoint):
-            self._on_checkpoint(msg)
+            self._on_checkpoint(src_index, msg)
         elif isinstance(msg, ViewChange):
             self._on_view_change(src_index, msg)
         elif isinstance(msg, NewView):
@@ -244,7 +223,7 @@ class ClbftReplica:
             return  # only the view's primary may order
         if not self.log.in_window(msg.seqno):
             return
-        if msg.digest != batch_digest(msg.requests):
+        if msg.digest != msg.requests_digest:
             return  # digest does not cover the carried batch
         entry = self.log.entry(msg.view, msg.seqno)
         if entry.pre_prepare is not None:
@@ -403,7 +382,9 @@ class ClbftReplica:
             self._propose_held()
         self._multicast(checkpoint)
 
-    def _on_checkpoint(self, msg: Checkpoint) -> None:
+    def _on_checkpoint(self, src_index: int, msg: Checkpoint) -> None:
+        if msg.replica != src_index:
+            return  # a vote counts only for the replica that sent it
         if self.log.add_checkpoint(msg):
             self._stable_advanced()
             self._propose_held()
@@ -528,8 +509,9 @@ class ClbftReplica:
                 c for c in msg.checkpoint_proof
                 if isinstance(c, Checkpoint) and c.seqno == msg.stable_seqno
             ]
+            voters = {c.replica for c in matching}
             digests = {c.state_digest for c in matching}
-            if len(matching) < self.config.quorum or len(digests) != 1:
+            if len(voters) < self.config.quorum or len(digests) != 1:
                 return False
         for proof in msg.prepared:
             if not isinstance(proof, PreparedProof) or proof.pre_prepare is None:

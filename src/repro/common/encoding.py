@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from collections import OrderedDict
 from dataclasses import fields
 from typing import Any, Callable
 
@@ -364,76 +363,25 @@ class WireBlob:
         return f"WireBlob({len(self.data)} bytes)"
 
 
-def wire_blob(obj: Any, encode: Callable[[Any], bytes] | None = None) -> WireBlob:
-    """``obj`` as an encode-once blob; a :class:`WireBlob` passes through.
-
-    ``encode`` overrides the canonical encoder (the channel passes its
-    injected wire codec).
-    """
+def wire_blob(obj: Any) -> WireBlob:
+    """``obj`` as an encode-once blob; a :class:`WireBlob` passes through."""
     if type(obj) is WireBlob:
         return obj
-    if encode is None:
-        return WireBlob(obj)
-    return WireBlob(obj, encode(obj))
+    return WireBlob(obj)
 
 
-# Every IdentityMemo registers here so one call can clear all wire-layer
-# caches (the decode and derived-digest memos) between simulations or tests.
-_MEMO_REGISTRY: list["IdentityMemo"] = []
+def derived(obj: Any, name: str, compute: Callable[[Any], Any]) -> Any:
+    """``compute(obj)``, computed once and kept on ``obj`` as ``name``.
 
-
-def clear_wire_caches() -> None:
-    """Drop every registered identity memo.
-
-    Finished simulations otherwise pin up to one cache-limit of message
-    objects per memo; call between runs when memory or test isolation
-    matters.
-
-    This is also the documented **process-start hook**: every cache here
-    is keyed on object identity, so entries must never cross a process
-    boundary. A worker forked while the parent's caches were warm would
-    otherwise serve lookups against the parent's object graph —
-    :mod:`repro.scenario.process` calls this in every worker bootstrap
-    (after zeroing METRICS, before touching any frame), and any other
-    multi-process host must do the same. The counter bump below is what
-    lets tests assert that contract per worker, via the summed stats,
-    instead of monkeypatching bootstrap internals.
+    For a value that a higher layer derives from an immutable object it
+    does not own (a voter's match key of a CLBFT item, a channel's decode
+    of an envelope): every holder of the shared object reuses the first
+    derivation, a cached ``None`` included, and the value lives exactly as
+    long as the object. A class that owns a derivation uses
+    :class:`functools.cached_property`, which stores it the same way.
     """
-    METRICS.wire_cache_clears += 1
-    for memo in _MEMO_REGISTRY:
-        memo.clear()
-
-
-class IdentityMemo:
-    """A bounded memo keyed on object identity.
-
-    For values derived deterministically from an immutable message (its
-    match-key digest, its authenticated bytes): receivers of one multicast
-    share the decoded message object, so a per-object memo computes the
-    derivation once per *message* instead of once per *receiver*. Entries
-    hold a strong reference to the key object, so a live entry's id cannot
-    be recycled; eviction is LRU.
-    """
-
-    __slots__ = ("_cache", "_limit")
-
-    def __init__(self, limit: int = 2048) -> None:
-        self._cache: "OrderedDict[int, tuple[Any, Any]]" = OrderedDict()
-        self._limit = limit
-        _MEMO_REGISTRY.append(self)
-
-    def get(self, obj: Any, compute: Callable[[Any], Any]) -> Any:
-        key = id(obj)
-        cache = self._cache
-        hit = cache.get(key)
-        if hit is not None and hit[0] is obj:
-            cache.move_to_end(key)
-            return hit[1]
-        value = compute(obj)
-        cache[key] = (obj, value)
-        if len(cache) > self._limit:
-            cache.popitem(last=False)
+    try:
+        return obj.__dict__[name]
+    except KeyError:
+        value = obj.__dict__[name] = compute(obj)
         return value
-
-    def clear(self) -> None:
-        self._cache.clear()

@@ -59,11 +59,6 @@ class Metrics:
     #: Routed requests whose target lived outside the caller's home
     #: group (they travel the nested-invocation path across groups).
     cross_group_calls: int = 0
-    #: Invocations of :func:`repro.common.encoding.clear_wire_caches`.
-    #: Every process worker must clear the identity-keyed caches exactly
-    #: once at start, before decoding its first frame; this counter makes
-    #: that assertable end to end.
-    wire_cache_clears: int = 0
 
     def reset(self) -> None:
         """Zero every counter (tests call this before a measured region)."""

@@ -49,8 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.clbft.messages import NewView, PrePrepare
-from repro.clbft.replica import batch_digest
+from repro.clbft.messages import NewView, PrePrepare, batch_digest
 from repro.common.errors import ConfigurationError
 from repro.common.metrics import METRICS
 from repro.perpetual.messages import LocalResult

@@ -27,11 +27,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.clbft.config import GroupConfig
-from repro.clbft.messages import encode_message
-from repro.common.encoding import IdentityMemo
 from repro.common.ids import RequestId, RequestIdAllocator, ServiceId
 from repro.crypto.cost import CryptoCostModel, MAC_COST_MODEL
-from repro.crypto.digest import digest
 from repro.crypto.keys import KeyStore
 from repro.perpetual.executor import (
     AppFactory,
@@ -49,7 +46,6 @@ from repro.perpetual.messages import (
     UtilityRequest,
     ViewHint,
     decode_perpetual,
-    reply_auth_bytes,
 )
 from repro.common.metrics import METRICS
 from repro.perpetual.voter import driver_name, principal_index, voter_name
@@ -68,8 +64,6 @@ RETRANSMIT_JITTER = 0.1
 #: Retry budget: after this many retransmissions the driver proposes the
 #: deterministic abort rather than rearming forever.
 RETRY_BUDGET = 10
-
-_BUNDLE_AUTH_DIGESTS = IdentityMemo()
 
 
 class DriverNode(ProtocolNode):
@@ -150,7 +144,6 @@ class DriverNode(ProtocolNode):
             connection=SimConnection(env),
             charge=env.charge,
             cost_model=self._cost_model,
-            encode=encode_message,
             decode=decode_perpetual,
             batching=self._batching,
             on_first_pending=(
@@ -441,14 +434,7 @@ class DriverNode(ProtocolNode):
         """The ``ft + 1`` or more distinct target voters whose vouchers for
         the result verify; empty when there are fewer."""
         spec = self.topology.spec(target)
-        # Every calling driver receives the same decoded bundle object, so
-        # the vouched-for bytes are recomputed and hashed once per bundle,
-        # not per driver and voucher.
-        data_digest = _BUNDLE_AUTH_DIGESTS.get(
-            # analysis: allow(WIRE002) — the MAC input of every voucher,
-            # memoized per bundle object
-            bundle, lambda b: digest(reply_auth_bytes(b.request_id, b.result))
-        )
+        data_digest = bundle.auth_digest
         factory = self._channel.auth_factory
         vouching = set()
         for voter_index, wire_auth in bundle.vouchers:

@@ -25,6 +25,7 @@ primary only, as in PBFT's standard treatment of non-determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, ClassVar
 
 from repro.clbft.messages import (
@@ -35,6 +36,7 @@ from repro.clbft.messages import (
 )
 from repro.common.errors import ProtocolError
 from repro.common.ids import RequestId, ServiceId
+from repro.crypto.digest import digest, digest_hex
 
 # Agreement item kinds (the "op" dict carries a matching "kind" field).
 ITEM_REQUEST = "req"
@@ -70,6 +72,20 @@ class OutRequest:
     responder_index: int
     attempt: int = 0
 
+    @cached_property
+    def match_key(self) -> str:
+        """Digest identifying 'matching' stage-1 copies.
+
+        Retries rotate ``responder_index`` and bump ``attempt``; copies
+        still match if the logical request — id, caller, target, payload
+        — agrees. Every voter derives keys the same way, so only internal
+        consistency matters.
+        """
+        key = ("out-request", self.request_id, self.caller, self.target, self.payload)
+        # analysis: allow(WIRE001, WIRE002) — a key over a *subset* of the
+        # message (attempt/responder excluded), so no wire blob matches
+        return digest_hex(encode_message(key))
+
 
 @register
 @dataclass(frozen=True)
@@ -103,6 +119,11 @@ class ReplyForward:
     voter_index: int
     auth: list
 
+    @cached_property
+    def match_key(self) -> str:
+        """:func:`result_match_key` of the forwarded result."""
+        return result_match_key(self.request_id, self.result, False)
+
 
 @register
 @dataclass(frozen=True)
@@ -113,6 +134,15 @@ class ReplyBundle:
     request_id: RequestId
     result: Any
     vouchers: tuple  # tuple of (voter_index, wire-auth) pairs
+
+    @cached_property
+    def auth_digest(self) -> bytes:
+        """Digest of :func:`reply_auth_bytes`, the MAC input of every
+        voucher: every calling driver receives the same decoded bundle,
+        so it is hashed once per bundle, not per driver and voucher."""
+        # analysis: allow(WIRE002) — the MAC input of every voucher,
+        # computed once per message object
+        return digest(reply_auth_bytes(self.request_id, self.result))
 
 
 @register
@@ -129,6 +159,11 @@ class ResultSubmission:
     request_id: RequestId
     result: Any
     aborted: bool = False
+
+    @cached_property
+    def match_key(self) -> str:
+        """:func:`result_match_key` of the submitted outcome."""
+        return result_match_key(self.request_id, self.result, self.aborted)
 
 
 @register
@@ -273,6 +308,13 @@ def reply_auth_bytes(request_id: RequestId, result: Any) -> bytes:
     # voters and calling drivers must each derive these bytes from their
     # own decoded values, so there is no shared blob to reuse
     return encode_message((request_id, result))
+
+
+def result_match_key(request_id: RequestId, result: Any, aborted: bool) -> str:
+    """Match key of an agreed ``(id, result, aborted)`` outcome."""
+    # analysis: allow(WIRE001, WIRE002) — the triple never crosses the
+    # wire in this shape; the messages and items it keys cache the result
+    return digest_hex(encode_message(("result", request_id, result, aborted)))
 
 
 def item_kind(request: ClientRequest) -> str:

@@ -31,14 +31,14 @@ from functools import lru_cache
 from typing import Any
 
 from repro.clbft.config import GroupConfig
-from repro.clbft.messages import ClientRequest, PrePrepare, encode_message
+from repro.clbft.messages import ClientRequest, PrePrepare
 from repro.clbft.replica import VIEW_CHANGE_TIMER, ClbftReplica
-from repro.common.encoding import IdentityMemo, wire_blob
+from repro.common.encoding import derived, wire_blob
 from repro.common.errors import ProtocolError
 from repro.common.ids import RequestId
 from repro.common.metrics import METRICS
 from repro.crypto.cost import CryptoCostModel, MAC_COST_MODEL
-from repro.crypto.digest import digest, digest_hex
+from repro.crypto.digest import digest
 from repro.crypto.keys import KeyStore
 from repro.perpetual.messages import (
     ITEM_ABORT,
@@ -60,6 +60,7 @@ from repro.perpetual.messages import (
     reply_auth_bytes,
     request_item,
     result_item,
+    result_match_key,
     utility_item,
 )
 from repro.sim.kernel import ProtocolNode, SimNodeEnv
@@ -96,96 +97,49 @@ def principal_index(name: str) -> int | None:
     return None
 
 
-# Derived-digest memos: voters sharing one decoded message (multicast
-# receivers, local echo + remote echoes of the same submission) compute
-# its match key once. Keyed on object identity; safe because protocol
-# messages are immutable once constructed.
-_REQUEST_KEYS = IdentityMemo()
-_SUBMISSION_KEYS = IdentityMemo()
-_FORWARD_KEYS = IdentityMemo()
-_ITEM_RESULT_KEYS = IdentityMemo()
-# Stage-2 item payloads: the backups that share one decoded pre-prepare
-# decode and digest each carried payload once, whatever the number of
-# backups and proof entries; the primary seeds the decode memo with the
-# copy it already holds.
-_PAYLOAD_REQUESTS = IdentityMemo()
-_PAYLOAD_DIGESTS = IdentityMemo()
-
-
-def request_match_key(req: OutRequest) -> str:
-    """Digest identifying 'matching' stage-1 copies.
-
-    Retries rotate ``responder_index`` and bump ``attempt``; copies still
-    match if the logical request — id, caller, target, payload — agrees.
-    Keys are digests of the canonical encoding; every voter derives them
-    with this same function, so only internal consistency matters.
-    """
-    # Key over a *subset* of the message (attempt/responder excluded),
-    # so no wire blob matches; memoized per message object above.
-    return _REQUEST_KEYS.get(
-        req,
-        lambda r: digest_hex(
-            encode_message(  # analysis: allow(WIRE001, WIRE002) — see note
-                ("out-request", r.request_id, r.caller, r.target, r.payload)
-            )
-        ),
-    )
-
-
-def result_match_key(request_id: RequestId, result: Any, aborted: bool) -> str:
-    # Key over the agreed (id, result, aborted) triple, which never
-    # crosses the wire in this exact shape; callers memoize
-    # (submission_match_key, reply-store dedup).
-    # analysis: allow(WIRE001, WIRE002)
-    return digest_hex(encode_message(("result", request_id, result, aborted)))
-
-
-def _decode_request(payload: bytes) -> OutRequest | None:
+def _decode_request(payload: Any) -> OutRequest | None:
+    if type(payload) is not bytes:
+        return None
     try:
         # analysis: allow(WIRE001) — an item payload arrives inside an
         # agreement message, not through a channel, so there is no
-        # accept() memo to share; memoized per payload object instead
+        # accept() decode to share; decoded once per item instead
         request = decode_perpetual(payload)
     except ProtocolError:
         return None
     return request if isinstance(request, OutRequest) else None
 
 
-def payload_request(payload: Any) -> OutRequest | None:
-    """The stage-1 request a stage-2 item payload carries, decoded once
-    per payload object; ``None`` unless it is bytes holding an
-    :class:`OutRequest`."""
-    if type(payload) is not bytes:
-        return None
-    return _PAYLOAD_REQUESTS.get(payload, _decode_request)
-
-
-def payload_digest(payload: bytes) -> bytes:
-    """Digest the proof entries of a stage-2 item verify against,
-    computed once per payload object."""
-    # analysis: allow(WIRE002) — the MAC input of every proof entry that
-    # references this payload; memoized per payload object
-    return _PAYLOAD_DIGESTS.get(payload, digest)
-
-
-def forward_match_key(forward: ReplyForward) -> str:
-    """Match key of a stage-5 reply forward, computed once per message."""
-    return _FORWARD_KEYS.get(
-        forward, lambda f: result_match_key(f.request_id, f.result, False)
+def item_requests(item: ClientRequest) -> tuple:
+    """The stage-1 request each payload of a stage-2 item carries
+    (``None`` for a payload that is not bytes holding an
+    :class:`OutRequest`), decoded once per item: the backups that share
+    one decoded pre-prepare share it, and the primary seeds its own item
+    with the copies it holds."""
+    return derived(
+        item,
+        "payload_requests",
+        lambda it: tuple(_decode_request(p) for p in it.op["payloads"]),
     )
 
 
-def submission_match_key(msg: ResultSubmission) -> str:
-    """Match key of a stage-7 submission, computed once per message."""
-    return _SUBMISSION_KEYS.get(
-        msg, lambda m: result_match_key(m.request_id, m.result, m.aborted)
+def item_payload_digests(item: ClientRequest) -> tuple:
+    """Digests of a stage-2 item's payloads, the MAC inputs its proof
+    entries verify against, computed once per item."""
+    return derived(
+        item,
+        "payload_digests",
+        # analysis: allow(WIRE002) — the MAC input of every proof entry
+        # that references the payload, computed once per item object
+        lambda it: tuple(digest(p) for p in it.op["payloads"]),
     )
 
 
 def item_result_key(item: ClientRequest) -> str:
     """Match key of a result/abort agreement item, once per shared item."""
-    return _ITEM_RESULT_KEYS.get(
+    return derived(
         item,
+        "result_key",
         lambda it: result_match_key(
             it.op.get("request_id"),
             it.op.get("value"),
@@ -282,7 +236,6 @@ class VoterNode(ProtocolNode):
             connection=SimConnection(env),
             charge=env.charge,
             cost_model=self._cost_model,
-            encode=encode_message,
             decode=decode_perpetual,
             batching=self._batching,
             # Window mode: arm the flush timer when the first message
@@ -440,7 +393,7 @@ class VoterNode(ProtocolNode):
             # through a view change downstream). Re-proposing would
             # double-execute; the reply is forwarded when it lands.
             return
-        key = request_match_key(req)
+        key = req.match_key
         copies = self._request_copies.setdefault(key, {})
         copies[sender] = (envelope, req)
         if self.replica.is_primary:
@@ -479,14 +432,18 @@ class VoterNode(ProtocolNode):
         # Each distinct payload travels once; matching copies that differ
         # only in attempt/responder_index (retransmissions) each travel.
         payloads: list[bytes] = []
+        requests = []
         proof = []
         for envelope, req in list(copies.values())[:needed]:
             payload = envelope.payload
             if payload not in payloads:
                 payloads.append(payload)
-                _PAYLOAD_REQUESTS.get(payload, lambda _, r=req: r)
+                requests.append(req)
             proof.append([payloads.index(payload), auth_to_wire(envelope.auth)])
-        self.replica.submit(request_item(sample.request_id, payloads, proof))
+        item = request_item(sample.request_id, payloads, proof)
+        # Seeded with the copies already held: executing it decodes nothing.
+        derived(item, "payload_requests", lambda _: tuple(requests))
+        self.replica.submit(item)
 
     def _on_clbft_new_view(self, new_view: int) -> None:
         """Entering a view: if now primary, propose every request whose
@@ -509,7 +466,7 @@ class VoterNode(ProtocolNode):
         proof = item.op.get("proof")
         if type(payloads) is not list or not payloads or type(proof) is not list:
             return False
-        requests = [payload_request(payload) for payload in payloads]
+        requests = item_requests(item)
         if None in requests:
             return False
         agreed_req = requests[0]
@@ -519,9 +476,10 @@ class VoterNode(ProtocolNode):
         caller_spec = self.topology.spec_or_none(caller)
         if caller_spec is None or len(proof) < caller_spec.f + 1:
             return False
-        expected_key = request_match_key(agreed_req)
-        if any(request_match_key(req) != expected_key for req in requests[1:]):
+        expected_key = agreed_req.match_key
+        if any(req.match_key != expected_key for req in requests[1:]):
             return False
+        digests = item_payload_digests(item)
         verifier = self._channel.auth_factory
         referenced = set()
         senders = set()
@@ -534,9 +492,7 @@ class VoterNode(ProtocolNode):
                     type(index) is not int
                     or not 0 <= index < len(payloads)
                     or type(sender) is not str
-                    or not verifier.verify_prehashed(
-                        payload_digest(payloads[index]), auth
-                    )
+                    or not verifier.verify_prehashed(digests[index], auth)
                 ):
                     return False
             except (TypeError, ValueError):
@@ -566,7 +522,7 @@ class VoterNode(ProtocolNode):
             voter_index=self.index,
             auth=auth,
         )
-        blob = wire_blob(forward, encode_message)
+        blob = wire_blob(forward)
         self._reply_store[msg.request_id] = (forward, blob)
         self._forward_reply(forward, blob, meta)
 
@@ -609,7 +565,7 @@ class VoterNode(ProtocolNode):
         spec = self.topology.spec(self.service)
         by_value: dict[str, list[ReplyForward]] = {}
         for fwd in collected.values():
-            by_value.setdefault(forward_match_key(fwd), []).append(fwd)
+            by_value.setdefault(fwd.match_key, []).append(fwd)
         for matching in by_value.values():
             if len(matching) >= spec.f + 1:
                 bundle = ReplyBundle(
@@ -646,7 +602,7 @@ class VoterNode(ProtocolNode):
     ) -> None:
         if msg.request_id in self._delivered_results:
             return
-        key = submission_match_key(msg)
+        key = msg.match_key
         echoes = self._result_echoes.setdefault(msg.request_id, {})
         echoes[driver_index] = key
         if own:
@@ -773,10 +729,10 @@ class VoterNode(ProtocolNode):
 
     def _deliver_request(self, seqno: int, item: ClientRequest) -> None:
         # The agreed request is a copy a calling driver authenticated.
-        req = payload_request(item.op["payloads"][0])
+        req = item_requests(item)[0]
         self._incoming_meta[req.request_id] = req
         self._gc_seqnos[req.request_id] = seqno
-        self._request_copies.pop(request_match_key(req), None)
+        self._request_copies.pop(req.match_key, None)
         self.delivered_requests += 1
         self._env.local_deliver(
             self.driver,

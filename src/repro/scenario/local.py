@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.common.encoding import clear_wire_caches
 from repro.common.metrics import METRICS
 from repro.crypto.keys import KeyStore
 from repro.faults import FaultPlan, require_supported_kinds
@@ -82,9 +81,6 @@ class LocalRuntime(Runtime):
         require_supported_kinds(spec, self.unsupported_faults, self.name)
         fault_plan = FaultPlan.from_spec(spec)
         router = build_router(spec)
-        # Every scenario starts with cold wire caches: runs measure equal
-        # cache state and dead message graphs from earlier runs are freed.
-        clear_wire_caches()
         nodes = self._node_table(spec)
         topology = Topology()
         for decl in spec.all_services():

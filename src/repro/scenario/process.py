@@ -36,9 +36,8 @@ Wiring:
   :meth:`ProcessRuntime.worker_errors` names it while the worker loop
   and the router keep serving: one Byzantine peer cannot crash a
   correct replica;
-- each worker zeroes the fork-inherited METRICS and clears the
-  identity-keyed decode memos before touching any frame (see
-  :func:`_worker_main`);
+- each worker zeroes the fork-inherited METRICS before touching any
+  frame (see :func:`_worker_main`);
 - ``crash`` faults are expressed by never spawning the replica's worker:
   a crashed machine never speaks; ``byzantine``, ``delay``,
   ``partition``, and ``restart`` faults travel inside the spec JSON and
@@ -62,7 +61,7 @@ import time
 from collections import deque
 from multiprocessing.connection import Connection, wait as connection_wait
 
-from repro.common.encoding import canonical_encode, clear_wire_caches, decode_payload
+from repro.common.encoding import canonical_encode, decode_payload
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.faults import require_supported_kinds
 from repro.runtime.host import MSG, START, TIMER, NodeHost
@@ -249,20 +248,15 @@ class _WorkerHost(NodeHost):
 def _worker_main(spec_json: str, service: str, index: int, conn: Connection) -> None:
     """Bootstrap one voter/driver pair and serve its event loop.
 
-    Bootstrap order matters: zero the fork-inherited METRICS first, then
-    run :func:`clear_wire_caches` — the documented process-start hook —
-    before touching any frame. Identity-keyed decode memos inherited over
-    ``fork`` reference the parent's object graph and must never serve
-    lookups in the child; clearing after the reset lets the hook's
-    ``wire_cache_clears`` bump survive into this worker's stats frames,
-    which is how tests pin the hook onto every worker start.
+    The fork-inherited METRICS are zeroed first, so this worker's stats
+    frames report only its own activity. No other state needs resetting:
+    derived values (decodes, digests, match keys) live on the message
+    objects they are derived from, so nothing inherited over ``fork``
+    can answer for a message this worker decodes.
     """
     from repro.common.metrics import METRICS
 
-    # Forked counters arrive pre-incremented from the parent; zero them
-    # so this worker's stats frames report only its own activity.
     METRICS.reset()
-    clear_wire_caches()
 
     from repro.crypto.keys import KeyStore
     from repro.faults import FaultPlan

@@ -27,33 +27,29 @@ Batching semantics (the sanctioned batch path the WIRE rules recognise):
   authenticator into the stage-2 proof;
 - a message alone in every destination's batch flushes as a classic
   shared :class:`WireEnvelope` — batching never pessimises singletons;
-- everything else becomes a plain ``("p", payload)`` item covered only
-  by the batch MAC: one authenticator computation and one verification
-  per *batch* instead of per message.
+- everything else becomes a plain ``("p", payload)`` item
+  (:class:`~repro.transport.wire.PlainItem`) covered only by the batch
+  MAC: one authenticator computation and one verification per *batch*
+  instead of per message.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.common.encoding import IdentityMemo, decode_payload, wire_blob
+from repro.common.encoding import decode_payload, derived, wire_blob
 from repro.common.errors import ProtocolError
 from repro.common.metrics import METRICS
 from repro.crypto.auth import AuthenticatorFactory
 from repro.crypto.cost import CryptoCostModel, MAC_COST_MODEL
 from repro.crypto.keys import KeyStore
 from repro.transport.connection import Connection
-from repro.transport.wire import BatchEnvelope, WireEnvelope, signed_batch
+from repro.transport.wire import BatchEnvelope, PlainItem, WireEnvelope, signed_batch
 
 #: Timer tag nodes use for window-mode flushing (``batching=<window_us>``):
 #: armed via ``on_first_pending`` when the first message buffers, handled
 #: in the node's ``on_timer`` by calling :meth:`ChannelAdapter.flush`.
 CHANNEL_FLUSH_TAG = "channel-flush"
-
-#: Decoded plain batch items, keyed on the payload bytes object: every
-#: destination's batch of one multicast references the same bytes object
-#: (in-process substrates), so co-addressed receivers decode it once.
-_PLAIN_ITEM_DECODES = IdentityMemo()
 
 
 class ChannelAdapter:
@@ -71,7 +67,6 @@ class ChannelAdapter:
         charge: Callable[[int], None] | None = None,
         cost_model: CryptoCostModel = MAC_COST_MODEL,
         wire_cpu_us: int = DEFAULT_WIRE_CPU_US,
-        encode: Callable[[Any], bytes] | None = None,
         decode: Callable[[bytes], Any] | None = None,
         batching: str | int = "off",
         on_first_pending: Callable[[], None] | None = None,
@@ -86,9 +81,8 @@ class ChannelAdapter:
         # charges (wire handling + MAC verification) into one constant so
         # the hot accept path makes a single charge call.
         self._accept_charge_us = wire_cpu_us + cost_model.verification_cost_us()
-        # Injected wire codec: protocol nodes pass encode_message /
-        # decode_message; the default canonical codec is the same one.
-        self._encode = encode
+        # Injected decoder: protocol nodes pass decode_perpetual, the
+        # canonical codec plus its identifier type checks.
         self._decode = decode or decode_payload
         #: ``off`` | ``tick`` | positive int (flush window in µs). The
         #: adapter only buffers; *when* flush happens is the substrate's
@@ -156,7 +150,7 @@ class ChannelAdapter:
     ) -> None:
         if not recipients:
             return
-        blob = wire_blob(message, self._encode)
+        blob = wire_blob(message)
         METRICS.multicasts += 1
         if self._buffering and not relayable:
             # Signing deferred to flush: covered by the batch MAC unless
@@ -201,7 +195,10 @@ class ChannelAdapter:
                 continue
             solo = sum(1 for d in recipients if len(per_dst[d]) == 1)
             if solo == 0:
-                continue  # batched everywhere: batch MAC covers it
+                # Batched everywhere: the batch MAC covers it, and every
+                # destination's batch shares the one item.
+                op[1] = PlainItem(blob.data)
+                continue
             self._charge(self._cost.authenticator_cost_us(len(recipients)))
             auth = self._auth.sign(blob, recipients)
             # Alone everywhere -> exactly the unbatched wire form; mixed
@@ -216,8 +213,7 @@ class ChannelAdapter:
                 transmit(dst, ops[0][1])
             else:
                 items = tuple(
-                    ("p", op[1].data) if op[0] == "p" else ("e", op[1])
-                    for op in ops
+                    op[1] if op[0] == "p" else ("e", op[1]) for op in ops
                 )
                 self._charge(self._cost.authenticator_cost_us(1))
                 batch = signed_batch(items, self._auth, dst)
@@ -243,7 +239,7 @@ class ChannelAdapter:
         rejected, as a correct CLBFT replica does with unauthenticated
         input).
 
-        Decoding is memoized on the envelope: a multicast delivers one
+        Decoding is cached on the envelope: a multicast delivers one
         envelope object to every co-resident receiver, so later receivers
         reuse the first decode. The decoded graph is therefore shared —
         receivers must treat messages as immutable, which replica
@@ -253,21 +249,31 @@ class ChannelAdapter:
         if not self._auth.verify_prehashed(envelope.payload_digest, envelope.auth):
             self.rejected_count += 1
             return None
-        # Memo keyed by decoder: receivers with a different codec (mixed
-        # deployments) re-decode rather than alias the wrong object form.
-        memo = getattr(envelope, "_decoded", None)
-        if memo is not None and memo[0] is self._decode:
-            self.received_count += 1
-            return memo[1]
-        try:
-            decoded = self._decode(envelope.payload)
-        except ProtocolError:
-            # Authentic but not a message: the sender is faulty.
+        return self._decoded(envelope, envelope.payload)
+
+    def _decoded(self, holder: Any, payload: bytes) -> Any | None:
+        """``payload`` decoded, cached on ``holder`` (the envelope or
+        plain item that co-resident receivers share), or ``None`` (counted
+        as rejected) if it is not a message: authentic but undecodable
+        means the sender is faulty."""
+        decode = self._decode
+
+        def attempt(_: Any) -> tuple:
+            try:
+                return decode, decode(payload)
+            except ProtocolError:
+                return decode, None
+
+        # Cached with its decoder: a receiver with another codec (a mixed
+        # deployment) decodes afresh rather than alias the wrong form.
+        used, message = derived(holder, "decoded", attempt)
+        if used is not decode:
+            message = attempt(holder)[1]
+        if message is None:
             self.rejected_count += 1
-            return None
-        object.__setattr__(envelope, "_decoded", (self._decode, decoded))
-        self.received_count += 1
-        return decoded
+        else:
+            self.received_count += 1
+        return message
 
     def open_batch(
         self, batch: BatchEnvelope
@@ -279,7 +285,7 @@ class ChannelAdapter:
         its own full-audience authenticator and keeps its envelope (the
         stage-1 proof path relays it). A plain item has no envelope of its
         own (``None``): the one batch verification vouched for it, and its
-        decode is shared by every receiver of the same payload object. An
+        decode is shared by every receiver of the same item object. An
         empty list means the batch MAC failed and every inner message was
         dropped.
         """
@@ -288,22 +294,17 @@ class ChannelAdapter:
             self.rejected_count += len(batch.items)
             return []
         sender = batch.auth.sender
-        decode = self._decode
         out = []
-        for kind, value in batch.items:
+        for item in batch.items:
+            kind, value = item
             if kind == "e":
                 message = self.accept(value)
                 if message is not None:
                     out.append((value.auth.sender, value, message))
-                continue
-            try:
-                memo = _PLAIN_ITEM_DECODES.get(value, lambda p: (decode, decode(p)))
-                message = memo[1] if memo[0] is decode else decode(value)
-            except ProtocolError:
-                self.rejected_count += 1
-                continue
-            self.received_count += 1
-            out.append((sender, None, message))
+            else:
+                message = self._decoded(item, value)
+                if message is not None:
+                    out.append((sender, None, message))
         return out
 
     def sender_of(self, envelope: WireEnvelope | BatchEnvelope) -> str:

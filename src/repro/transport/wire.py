@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.errors import ProtocolError
 from repro.crypto.auth import Authenticator
@@ -36,21 +37,17 @@ class WireEnvelope:
     payload: bytes
     auth: Authenticator
 
-    @property
+    @cached_property
     def size_bytes(self) -> int:
         """Approximate wire size, used by the network latency model.
 
         Computed once per envelope: a multicast envelope is transmitted
         to every receiver and the size model queries it per transmit.
         """
-        cached = getattr(self, "_size_bytes", None)
-        if cached is None:
-            mac_bytes = sum(len(tag) + 24 for _, tag in self.auth.entries)
-            cached = len(self.payload) + mac_bytes + 32
-            object.__setattr__(self, "_size_bytes", cached)
-        return cached
+        mac_bytes = sum(len(tag) + 24 for _, tag in self.auth.entries)
+        return len(self.payload) + mac_bytes + 32
 
-    @property
+    @cached_property
     def payload_digest(self) -> bytes:
         """SHA-256 of the payload, computed once per envelope.
 
@@ -58,11 +55,22 @@ class WireEnvelope:
         envelope object, so the verification pre-hash is shared instead
         of recomputed per receiver.
         """
-        cached = getattr(self, "_payload_digest", None)
-        if cached is None:
-            cached = digest(self.payload)
-            object.__setattr__(self, "_payload_digest", cached)
-        return cached
+        return digest(self.payload)
+
+
+class PlainItem(tuple):
+    """A ``("p", payload)`` batch item: a payload covered only by the
+    batch MAC.
+
+    A tuple, so it frames and compares like any ``(kind, value)`` item;
+    unlike a bare tuple it can hold the receivers' decode (see
+    :meth:`~repro.transport.channel.ChannelAdapter.open_batch`). The
+    sender builds one per multicast and every destination's batch shares
+    it, so co-resident receivers decode the payload once.
+    """
+
+    def __new__(cls, payload: bytes) -> "PlainItem":
+        return tuple.__new__(cls, ("p", payload))
 
 
 _U16 = struct.Struct(">H")
@@ -126,52 +134,40 @@ class BatchEnvelope:
 
     The channel layer aggregates every message bound for the same
     (sender, receiver) pair within one flush interval into a batch.
-    ``items`` holds ``("p", payload_bytes)`` entries — plain payloads
-    covered *only* by the batch MAC — and ``("e", WireEnvelope)``
-    entries, embedded envelopes that keep their own full-audience
-    authenticator (used when the inner message must remain relayable or
-    provable to principals outside this pair, e.g. stage-1 request
-    proofs). One :class:`~repro.crypto.auth.Authenticator` entry over
+    ``items`` holds :class:`PlainItem` ``("p", payload_bytes)`` entries
+    — plain payloads covered *only* by the batch MAC — and
+    ``("e", WireEnvelope)`` entries, embedded envelopes that keep their
+    own full-audience authenticator (used when the inner message must
+    remain relayable or provable to principals outside this pair, e.g.
+    stage-1 request proofs). One :class:`~repro.crypto.auth.Authenticator` entry over
     :attr:`batch_digest` authenticates the whole batch.
     """
 
     items: tuple
     auth: Authenticator
 
-    @property
+    @cached_property
     def size_bytes(self) -> int:
         """Approximate wire size: inner payloads + one MAC entry."""
-        cached = getattr(self, "_size_bytes", None)
-        if cached is None:
-            body = 0
-            for kind, value in self.items:
-                if kind == "p":
-                    body += len(value) + 8
-                else:
-                    body += value.size_bytes + 8
-            mac_bytes = sum(len(tag) + 24 for _, tag in self.auth.entries)
-            cached = body + mac_bytes + 32
-            object.__setattr__(self, "_size_bytes", cached)
-        return cached
+        body = 0
+        for kind, value in self.items:
+            if kind == "p":
+                body += len(value) + 8
+            else:
+                body += value.size_bytes + 8
+        mac_bytes = sum(len(tag) + 24 for _, tag in self.auth.entries)
+        return body + mac_bytes + 32
 
-    @property
+    @cached_property
     def frame(self) -> bytes:
         """:func:`batch_frame` of the items, built once per batch object
         (by the signer, or cut from the received bytes)."""
-        cached = getattr(self, "_frame", None)
-        if cached is None:
-            cached = batch_frame(self.items)
-            object.__setattr__(self, "_frame", cached)
-        return cached
+        return batch_frame(self.items)
 
-    @property
+    @cached_property
     def batch_digest(self) -> bytes:
         """SHA-256 over the framed items, computed once per batch."""
-        cached = getattr(self, "_batch_digest", None)
-        if cached is None:
-            cached = digest(self.frame)
-            object.__setattr__(self, "_batch_digest", cached)
-        return cached
+        return digest(self.frame)
 
 
 def signed_batch(items: tuple, signer, dst: str) -> BatchEnvelope:
@@ -181,7 +177,7 @@ def signed_batch(items: tuple, signer, dst: str) -> BatchEnvelope:
     each side frames the items once."""
     frame = batch_frame(items)
     batch = BatchEnvelope(items=items, auth=signer.sign(frame, [dst]))
-    object.__setattr__(batch, "_frame", frame)
+    batch.__dict__["frame"] = frame
     return batch
 
 
@@ -214,7 +210,8 @@ def envelope_from_wire(data: list) -> WireEnvelope | BatchEnvelope:
         _, auth, items = data
         return BatchEnvelope(
             items=tuple(
-                (kind, value if kind == "p" else envelope_from_wire(value))
+                PlainItem(value) if kind == "p"
+                else (kind, envelope_from_wire(value))
                 for kind, value in items
             ),
             auth=auth_from_wire(auth),
@@ -304,7 +301,7 @@ def envelope_from_bytes(
     bytes — raises :class:`~repro.common.errors.ProtocolError`.
     """
     if type(data) is not bytes:
-        data = bytes(data)  # the decode memos key on bytes payloads
+        data = bytes(data)  # so every payload sliced out is bytes
     try:
         kind = data[offset:offset + 1]
         if kind == b"e":
@@ -319,14 +316,14 @@ def envelope_from_bytes(
                 kind = data[end:end + 1]
                 if kind == b"p":
                     value, end = _field(data, end + 1, _U32)
-                    items.append(("p", value))
+                    items.append(PlainItem(value))
                 elif kind == b"e":
                     value, end = _read_envelope(data, end + 1)
                     items.append(("e", value))
                 else:
                     raise ProtocolError(f"unknown batch item kind {kind!r}")
             envelope = BatchEnvelope(items=tuple(items), auth=auth)
-            object.__setattr__(envelope, "_frame", data[start:end])
+            envelope.__dict__["frame"] = data[start:end]
         else:
             raise ProtocolError(f"unknown envelope kind {kind!r}")
     except (struct.error, UnicodeDecodeError) as exc:

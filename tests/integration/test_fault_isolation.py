@@ -13,7 +13,7 @@ Three scenarios:
 
 import pytest
 
-from repro.clbft.messages import ClientRequest
+from repro.clbft.messages import Checkpoint, ClientRequest
 from repro.common.ids import RequestId, ServiceId
 from repro.crypto.keys import KeyStore
 from repro.perpetual.messages import OutRequest, ReplyBundle
@@ -117,6 +117,48 @@ class TestForgedRelay:
         assert view_changes == [0, 0, 0, 0]
         assert completed == [60, 60, 60, 60]
         assert last_us == fault_free_completion_us
+
+
+class TestForgedCheckpoint:
+    """A checkpoint vote counts only for the replica that sent it: one
+    faulty target voter (within f) that sends ``Checkpoint(replica=r)``
+    for every r cannot make a stable certificate by itself."""
+
+    @staticmethod
+    def _run(claimed):
+        """A 60-call 4x4 echo in which target voter 3 sends voters 0-2 one
+        checkpoint per entry of ``claimed``, naming that replica, 40
+        seqnos ahead, 20 ms in. Returns (the correct voters' stable seqnos
+        10 ms later, view changes per target voter, caller driver 0's last
+        completion)."""
+        runtime = run_sim(two_tier(4, 4, calls=60).build(), until_s=0.02)
+        voters = runtime._groups["target"].voters
+        seqno = voters[0].replica.log.last_executed + 40
+        for replica in claimed:
+            inject(
+                runtime, voter_name("target", 3),
+                [voter_name("target", i) for i in range(3)],
+                Checkpoint(seqno=seqno, state_digest=b"\x00" * 32,
+                           replica=replica),
+            )
+        runtime.run(until_s=0.03)
+        stable = [v.replica.log.stable_seqno for v in voters[:3]]
+        runtime.run(until_s=30)
+        return (
+            stable,
+            [v.replica.view_changes_completed for v in voters],
+            runtime._groups["caller"].drivers[0].last_completion_us,
+        )
+
+    def test_one_voter_cannot_forge_a_stable_checkpoint(self):
+        # The reference sends the same four envelopes, each naming the
+        # faulty voter itself (one vote): receivers pay the same
+        # verification cost, so any difference is the forgery's effect.
+        reference = self._run(claimed=[3, 3, 3, 3])
+        stable, view_changes, last_us = self._run(claimed=[0, 1, 2, 3])
+        assert stable == reference[0] == [0, 0, 0]
+        assert view_changes == [0, 0, 0, 0]
+        assert last_us == reference[2]
 
 
 class TestIllTypedIdentifiers:

@@ -247,17 +247,6 @@ def test_process_run_waits_for_a_worker_stalled_in_a_handler(tmp_path):
         runtime.shutdown()
 
 
-def test_wire_caches_cleared_once_per_worker_start():
-    # 2 services x 4 replicas = 8 workers; each worker start must clear
-    # the identity-keyed caches exactly once, observed through summed
-    # worker counters — no monkeypatching of bootstrap internals.
-    spec = echo_parity_scenario(n=4, total_calls=3, name="wire-cache")
-    metrics = run_on(ProcessRuntime(poll_interval_s=0.05), spec, until_s=60)
-    assert metrics.processes == 8
-    assert metrics.counters["wire_cache_clears"] == 8
-    assert metrics.services["caller"].completed_calls == 3
-
-
 def test_frames_far_above_the_pipe_buffer_complete():
     # A 256 KiB body makes every request, reply and pre-prepare (which
     # carries the request body once, as the bytes the callers MAC'd) a

@@ -5,10 +5,18 @@ Services" row: calling and target services at every paper replication
 degree combination complete requests with consistent replica state.
 """
 
+import gc
 from collections import Counter
 
 import pytest
 
+from repro.clbft.messages import ClientRequest, PrePrepare
+from repro.perpetual.messages import (
+    OutRequest,
+    ReplyBundle,
+    ReplyForward,
+    ResultSubmission,
+)
 from repro.scenario.sim import SimRuntime
 from tests.integration.scripted import replies, run_sim, two_tier
 
@@ -86,3 +94,25 @@ def test_full_watermark_window_resumes_at_the_next_stable_checkpoint():
     assert metrics.counters["retransmissions"] == 0
     # 65,676 simulated µs; a stall until the view-change timer took 816,409.
     assert caller.last_completion_us < 100_000
+
+
+def test_a_finished_run_pins_no_protocol_message():
+    # Values derived from a message (decodes, digests, match keys) live on
+    # the message, so once the run and its metrics are dropped nothing
+    # process-global keeps a message of it alive.
+    kinds = (OutRequest, ClientRequest, ResultSubmission, ReplyForward,
+             ReplyBundle, PrePrepare)
+
+    def live():
+        return [o for o in gc.get_objects() if type(o) in kinds]
+
+    gc.collect()
+    earlier = live()  # held, so no id of theirs is reused below
+    seen = {id(o) for o in earlier}
+    runtime = run_sim(two_tier(4, 4, calls=40).build(), until_s=60)
+    metrics = runtime.metrics()
+    assert metrics.services["caller"].completed_calls == 40
+    del runtime, metrics
+    gc.collect()
+    pinned = Counter(type(o).__name__ for o in live() if id(o) not in seen)
+    assert pinned == {}

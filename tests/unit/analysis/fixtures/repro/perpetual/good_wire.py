@@ -1,18 +1,18 @@
 """Fixture: sanctioned wire usage in protocol code — zero findings.
 
 Covers the three negatives the wire family promises: codecs injected as
-parameters (not called), the memoized WireBlob path, and documented
+parameters (not called), the cached WireBlob path, and documented
 suppressions. A local helper named ``digest`` also checks that WIRE002
 only tracks names imported from repro.crypto.digest.
 """
 
-from repro.common.encoding import encode_message, wire_blob
+from repro.common.encoding import decode_payload, wire_blob
 from repro.crypto.digest import digest_hex
 
 
-def send(channel, dsts, msg):
+def make_channel(channel_class, me, keys, connection):
     # Passing the codec as a parameter hands it to the channel: sanctioned.
-    channel.multicast_to(dsts, msg, encode=encode_message)
+    return channel_class(me, keys, connection, decode=decode_payload)
 
 
 def blob_digest(msg):
@@ -28,5 +28,5 @@ def local_helper(state):
 
 
 def suppressed_key(reply):
-    # analysis: allow(WIRE002) — fixture: memoized upstream, documented
+    # analysis: allow(WIRE002) — fixture: cached upstream, documented
     return digest_hex(("reply", reply))

@@ -1,6 +1,6 @@
 """CLBFT checkpointing and log garbage collection."""
 
-from repro.clbft.messages import Checkpoint
+from repro.clbft.messages import Checkpoint, ViewChange
 from tests.unit.clbft.harness import Group
 
 
@@ -72,4 +72,32 @@ class TestCheckpoints:
             )
         assert not log.add_checkpoint(
             Checkpoint(seqno=4, state_digest=b"s" * 32, replica=3)
+        )
+
+    def test_a_vote_counts_only_for_the_replica_that_sent_it(self):
+        group = Group(4, checkpoint_interval=4)
+        replica = group.replicas[0]
+        # Replica 3 claims every replica's vote: none but its own counts.
+        for claimed in range(4):
+            replica.on_message(
+                3, Checkpoint(seqno=4, state_digest=b"s" * 32, replica=claimed)
+            )
+        assert replica.log.stable_seqno == 0
+
+    def test_three_copies_of_one_checkpoint_are_not_a_quorum(self):
+        group = Group(4, checkpoint_interval=4)
+        replica = group.replicas[0]
+        own = Checkpoint(seqno=4, state_digest=b"s" * 32, replica=2)
+        vote = ViewChange(
+            new_view=1, stable_seqno=4, checkpoint_proof=(own, own, own),
+            prepared=(), replica=2,
+        )
+        assert not replica._verify_view_change(vote)
+        quorum = tuple(
+            Checkpoint(seqno=4, state_digest=b"s" * 32, replica=r)
+            for r in range(3)
+        )
+        assert replica._verify_view_change(
+            ViewChange(new_view=1, stable_seqno=4, checkpoint_proof=quorum,
+                       prepared=(), replica=2)
         )

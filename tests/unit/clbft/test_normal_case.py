@@ -121,7 +121,7 @@ class TestByzantineInputRejection:
     def test_out_of_window_seqno_ignored(self):
         group = Group(4, log_window=16)
         request = ClientRequest(client="c", timestamp=1, op="x")
-        from repro.clbft.replica import batch_digest
+        from repro.clbft.messages import batch_digest
 
         far = PrePrepare(
             view=0, seqno=999, digest=batch_digest((request,)),
@@ -134,7 +134,7 @@ class TestByzantineInputRejection:
 class TestEquivocation:
     def test_conflicting_pre_prepare_keeps_first(self):
         group = Group(4)
-        from repro.clbft.replica import batch_digest
+        from repro.clbft.messages import batch_digest
 
         r1 = ClientRequest(client="c", timestamp=1, op="one")
         r2 = ClientRequest(client="c", timestamp=2, op="two")
@@ -147,3 +147,23 @@ class TestEquivocation:
         backup.on_message(0, pp2)
         entry = backup.log.entry_if_exists(0, 1)
         assert entry.pre_prepare.digest == batch_digest((r1,))
+
+
+class TestSharedPrePrepare:
+    def test_backups_sharing_a_pre_prepare_digest_its_batch_once(self):
+        # Co-resident backups receive one decoded pre-prepare object; the
+        # batch digest they check it against is computed once, not per
+        # backup (in this bus-only harness it is the only encode).
+        from repro.clbft.messages import encode_message
+        from repro.common.metrics import METRICS
+        from repro.crypto.digest import digest
+
+        group = Group(4)
+        requests = (ClientRequest(client="c", timestamp=1, op="x"),)
+        shared = PrePrepare(view=0, seqno=1, digest=digest(encode_message(requests)),
+                            requests=requests)
+        METRICS.reset()
+        for backup in group.replicas[1:]:
+            backup.on_message(0, shared)
+            assert backup.log.entry_if_exists(0, 1).pre_prepare is shared
+        assert (METRICS.encode_calls, METRICS.digest_calls) == (1, 1)

@@ -1,4 +1,4 @@
-"""Unit tests for the wire fast path: blobs, memos, and metrics.
+"""Unit tests for the wire fast path: blobs, derived values, and metrics.
 
 The cache layer must be *invisible* except for speed: cached encodes and
 digests are byte-identical to uncached ones, and the operation counters
@@ -10,11 +10,10 @@ import hashlib
 import pytest
 
 from repro.common.encoding import (
-    IdentityMemo,
     WireBlob,
     canonical_encode,
-    clear_wire_caches,
     decode_payload,
+    derived,
     wire_blob,
 )
 from repro.common.errors import ProtocolError
@@ -23,11 +22,9 @@ from repro.common.metrics import METRICS, Metrics
 
 
 @pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_wire_caches()
+def _fresh_metrics():
     METRICS.reset()
     yield
-    clear_wire_caches()
     METRICS.reset()
 
 
@@ -60,10 +57,6 @@ class TestWireBlob:
         blob = wire_blob({"x": 1})
         assert wire_blob(blob) is blob
         assert canonical_encode(blob) == blob.data
-
-    def test_custom_encoder(self):
-        blob = wire_blob((1, 2), encode=lambda obj: b"custom")
-        assert blob.data == b"custom"
 
     def test_decode_inverts_blob_bytes(self):
         message = {"ids": [RequestId(ServiceId("a"), 1)], "t": (1, b"\xff")}
@@ -128,35 +121,27 @@ class TestIterativeEncoder:
         assert decode_payload(reference) == {"k": [(1, 2), 3]}
 
 
-class TestIdentityMemo:
+class _Holder:
+    pass
+
+
+class TestDerived:
     def test_computes_once_per_object(self):
-        memo = IdentityMemo()
         calls = []
-        obj = {"a": 1}
-        compute = lambda o: calls.append(1) or len(o)
-        assert memo.get(obj, compute) == memo.get(obj, compute)
+        holder = _Holder()
+        compute = lambda o: calls.append(1) or 7
+        assert derived(holder, "x", compute) == derived(holder, "x", compute) == 7
         assert len(calls) == 1
+        derived(_Holder(), "x", compute)
+        assert len(calls) == 2  # distinct objects never alias
 
-    def test_distinct_objects_compute_separately(self):
-        memo = IdentityMemo()
+    def test_cached_none_stays_cached(self):
         calls = []
-        compute = lambda o: calls.append(1) or len(o)
-        memo.get({"a": 1}, compute)
-        memo.get({"a": 1}, compute)
-        assert len(calls) == 2
-
-    def test_eviction_bounded(self):
-        memo = IdentityMemo(limit=4)
-        keep = [{"i": i} for i in range(10)]
-        for obj in keep:
-            memo.get(obj, lambda o: o["i"])
-        assert len(memo._cache) <= 4
-
-    def test_clear_wire_caches_empties_registered_memos(self):
-        memo = IdentityMemo()
-        memo.get({"a": 1}, len)
-        clear_wire_caches()
-        assert len(memo._cache) == 0
+        holder = _Holder()
+        compute = lambda o: calls.append(1)
+        assert derived(holder, "x", compute) is None
+        assert derived(holder, "x", compute) is None
+        assert len(calls) == 1
 
 
 class TestMetrics:

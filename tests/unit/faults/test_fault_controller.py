@@ -10,7 +10,7 @@ injector against a stub environment.
 import pytest
 
 from repro.clbft.messages import ClientRequest, NewView, PrePrepare
-from repro.clbft.replica import batch_digest
+from repro.clbft.messages import batch_digest
 from repro.common.errors import ConfigurationError
 from repro.faults import (
     FAULT_DEFER_TAG,

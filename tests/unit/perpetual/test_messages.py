@@ -13,9 +13,9 @@ from repro.perpetual.messages import (
     reply_auth_bytes,
     request_item,
     result_item,
+    result_match_key,
     utility_item,
 )
-from repro.perpetual.voter import request_match_key, result_match_key
 
 RID = RequestId(ServiceId("store"), 5)
 
@@ -73,12 +73,10 @@ class TestMatching:
     def test_retries_match_despite_responder_rotation(self):
         original = out_request(responder=0, attempt=0)
         retry = out_request(responder=1, attempt=1)
-        assert request_match_key(original) == request_match_key(retry)
+        assert original.match_key == retry.match_key
 
     def test_different_payloads_do_not_match(self):
-        assert request_match_key(out_request(payload=b"a")) != request_match_key(
-            out_request(payload=b"b")
-        )
+        assert out_request(payload=b"a").match_key != out_request(payload=b"b").match_key
 
     def test_result_match_distinguishes_values_and_aborts(self):
         assert result_match_key(RID, b"x", False) == result_match_key(

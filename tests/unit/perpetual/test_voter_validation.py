@@ -6,7 +6,7 @@ result-echo quorums, utility deferral, and request-proof checking.
 
 import pytest
 
-from repro.clbft.messages import encode_message
+from repro.clbft.messages import PrePrepare, decode_message, encode_message
 from repro.common.ids import RequestId, ServiceId
 from repro.crypto.auth import AuthenticatorFactory
 from repro.crypto.keys import KeyStore
@@ -16,14 +16,10 @@ from repro.perpetual.messages import (
     ResultSubmission,
     request_item,
     result_item,
+    result_match_key,
     utility_item,
 )
-from repro.perpetual.voter import (
-    VoterNode,
-    driver_name,
-    result_match_key,
-    voter_name,
-)
+from repro.perpetual.voter import VoterNode, driver_name, voter_name
 from repro.sim.kernel import Simulator
 from repro.sim.network import UniformLatency
 from repro.transport.wire import auth_to_wire
@@ -300,3 +296,38 @@ class TestBatchValidation:
         voters[1]._deliver_request(1, item)
         meta = voters[1]._incoming_meta[CALL_RID]
         assert (meta.attempt, meta.responder_index) == (0, 0)
+
+
+class TestSharedDerivation:
+    def test_backups_sharing_a_pre_prepare_decode_and_digest_once(
+        self, setup, monkeypatch
+    ):
+        # Co-resident backups receive one decoded pre-prepare: each payload
+        # of its stage-2 item is decoded and digested once, not per backup.
+        import repro.perpetual.voter as voter_module
+
+        __, keys, __, voters = setup
+        first, retry = stage1(attempt=0), stage1(attempt=1)
+        proof = [
+            vouch(keys, caller_driver(0), first, index=0),
+            vouch(keys, caller_driver(1), retry, index=1),
+        ]
+        item = request_item(CALL_RID, [first, retry], proof)
+        pre_prepare = decode_message(encode_message(
+            PrePrepare(view=0, seqno=1, digest=b"", requests=(item,))
+        ))
+        calls = {"decode": 0, "digest": 0}
+
+        def counting(name, inner):
+            def wrapper(data):
+                calls[name] += 1
+                return inner(data)
+            return wrapper
+
+        monkeypatch.setattr(voter_module, "decode_perpetual",
+                            counting("decode", voter_module.decode_perpetual))
+        monkeypatch.setattr(voter_module, "digest",
+                            counting("digest", voter_module.digest))
+        for backup in voters[1:]:
+            assert backup._validate_batch(pre_prepare.requests) == "accept"
+        assert calls == {"decode": 2, "digest": 2}

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.common.encoding import canonical_encode, clear_wire_caches, decode_payload
+from repro.common.encoding import canonical_encode, decode_payload
 from repro.common.metrics import METRICS
 from repro.crypto.keys import KeyStore
 from repro.transport.channel import ChannelAdapter
@@ -39,10 +39,8 @@ class CapturingConnection(Connection):
 
 @pytest.fixture(autouse=True)
 def _fresh():
-    clear_wire_caches()
     METRICS.reset()
     yield
-    clear_wire_caches()
     METRICS.reset()
 
 
@@ -77,7 +75,6 @@ class TestBatchEqualsUnbatched:
         receiver = ChannelAdapter("bob", keys, CapturingConnection())
         unbatched = [receiver.accept(env) for _, env in plain_conn.transmitted]
 
-        clear_wire_caches()
         batched, batched_conn = make_channel(keys, batching="tick")
         for msg in messages:
             batched.send("bob", msg)
@@ -129,6 +126,28 @@ class TestOneMacPerBatch:
         assert METRICS.mac_computations == 1
         assert METRICS.batches_sent == 1
         assert METRICS.batch_messages == 5
+
+    def test_co_resident_receivers_decode_a_plain_item_once(self, keys):
+        # Every destination's batch of one multicast shares its plain
+        # items, so three receivers in one process decode each once.
+        channel, conn = make_channel(keys, batching="tick")
+        receivers = ["r0", "r1", "r2"]
+        channel.multicast(receivers, {"seq": 0})
+        channel.multicast(receivers, {"seq": 1})
+        channel.flush()
+        decoded = []
+
+        def counting_decode(data):
+            decoded.append(data)
+            return decode_payload(data)
+
+        for dst, batch in conn.transmitted:
+            receiver = ChannelAdapter(dst, keys, CapturingConnection(),
+                                      decode=counting_decode)
+            opened = [msg for _, _, msg in receiver.open_batch(batch)]
+            assert opened == [{"seq": 0}, {"seq": 1}]
+        assert len(conn.transmitted) == 3
+        assert len(decoded) == 2
 
     def test_batch_counters_stay_zero_when_off(self, keys):
         channel, _ = make_channel(keys, batching="off")

@@ -9,7 +9,7 @@ one payload digest, with per-receiver work limited to one short MAC each.
 
 import pytest
 
-from repro.clbft.messages import decode_message, encode_message
+from repro.clbft.messages import decode_message
 from repro.common.metrics import METRICS
 from repro.crypto.keys import KeyStore
 from repro.transport.channel import ChannelAdapter
@@ -54,7 +54,7 @@ def test_multicast_one_encode_one_digest(keys):
 def test_multicast_with_fused_codec_still_one_encode(keys):
     conn = CapturingConnection()
     channel = ChannelAdapter(
-        "sender", keys, conn, encode=encode_message, decode=decode_message
+        "sender", keys, conn, decode=decode_message
     )
     METRICS.reset()
     channel.multicast(["a", "b", "c"], {"payload": (1, 2, b"x")})
