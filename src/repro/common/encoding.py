@@ -340,9 +340,9 @@ class WireBlob:
 
     __slots__ = ("obj", "data", "_digest")
 
-    def __init__(self, obj: Any, data: bytes | None = None) -> None:
+    def __init__(self, obj: Any) -> None:
         self.obj = obj
-        self.data = canonical_encode(obj) if data is None else data
+        self.data = canonical_encode(obj)
         self._digest: bytes | None = None
 
     @property

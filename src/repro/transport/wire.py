@@ -72,6 +72,10 @@ class PlainItem(tuple):
     def __new__(cls, payload: bytes) -> "PlainItem":
         return tuple.__new__(cls, ("p", payload))
 
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild through __new__, which takes the payload
+        return (self[1],)
+
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")

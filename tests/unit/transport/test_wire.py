@@ -1,8 +1,12 @@
 """Unit tests for wire framing and embedded-envelope encoding."""
 
+import copy
+import pickle
+
 from repro.common.encoding import canonical_encode, decode_payload
 from repro.crypto.auth import AuthenticatorFactory
 from repro.transport.wire import (
+    PlainItem,
     WireEnvelope,
     auth_from_wire,
     auth_to_wire,
@@ -49,3 +53,13 @@ class TestEnvelopeWire:
             WireEnvelope(b"data", auth9).size_bytes
             > WireEnvelope(b"data", auth1).size_bytes
         )
+
+
+class TestPlainItem:
+    def test_copies_are_the_same_item(self):
+        item = PlainItem(b"data")
+        assert item == ("p", b"data")
+        for restored in (copy.copy(item), copy.deepcopy(item),
+                         pickle.loads(pickle.dumps(item))):
+            assert type(restored) is PlainItem
+            assert restored == item
