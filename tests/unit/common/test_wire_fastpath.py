@@ -125,15 +125,22 @@ class _Holder:
     pass
 
 
-class TestDerived:
+class TestIdentityMemo:
+    """``derived`` memoises per object: the value is kept on the object."""
+
     def test_computes_once_per_object(self):
         calls = []
         holder = _Holder()
         compute = lambda o: calls.append(1) or 7
         assert derived(holder, "x", compute) == derived(holder, "x", compute) == 7
         assert len(calls) == 1
-        derived(_Holder(), "x", compute)
-        assert len(calls) == 2  # distinct objects never alias
+
+    def test_distinct_objects_compute_separately(self):
+        calls = []
+        compute = lambda o: calls.append(1) or len(calls)
+        assert derived(_Holder(), "x", compute) == 1
+        assert derived(_Holder(), "x", compute) == 2
+        assert len(calls) == 2
 
     def test_cached_none_stays_cached(self):
         calls = []
