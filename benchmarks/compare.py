@@ -8,9 +8,9 @@ Usage (from the repo root)::
     PYTHONPATH=src python benchmarks/compare.py --tag PR3
 
 The script runs one representative cell per gated figure — fig7
-(replica scalability), fig8 (processing time), fig9 (async window), and
-fig10 (sharded throughput) — under ``pytest-benchmark`` (with ``--benchmark-autosave``, so
-the full history accumulates under ``.benchmarks/``), writes the
+(replica scalability), fig8 (processing time), and fig9 (async window)
+— under ``pytest-benchmark`` (with ``--benchmark-autosave``, so the full
+history accumulates under ``.benchmarks/``), writes the
 trajectory point to ``BENCH_<TAG>.json`` at the repo root, and exits
 non-zero if any cell's median regressed more than :data:`TOLERANCE`
 versus its stored baseline in ``benchmarks/baseline_<fig>.json``.
@@ -45,10 +45,6 @@ BENCH_CELLS = {
     "fig9": (
         "benchmarks/test_fig9_async_window.py::"
         "test_fig9_benchmark_representative_cell"
-    ),
-    "fig10": (
-        "benchmarks/test_fig10_sharded_throughput.py::"
-        "test_fig10_benchmark_representative_cell"
     ),
 }
 #: Maximum tolerated median regression vs the stored baseline.
@@ -116,13 +112,6 @@ def run_benchmarks() -> dict[str, dict]:
             "faults_injected": sample.get("extra_info", {}).get(
                 "faults_injected", 0
             ),
-            # Cell-specific measurements (fig10 records the sharded
-            # scale-out speedup here) ride along on the trajectory point.
-            "extra": {
-                key: value
-                for key, value in sample.get("extra_info", {}).items()
-                if key != "faults_injected"
-            },
             "machine": machine_point,
             "datetime": data.get("datetime"),
         }

@@ -1,6 +1,6 @@
 """Static analysis for the protocol stack's unenforced invariants.
 
-Four rule families over the source tree, one suppression convention:
+Three rule families over the source tree, one suppression convention:
 
 - determinism (``DET001``-``DET005``): protocol/sim code must replay
   bit-identically — no host clocks, no ambient randomness, no
@@ -10,10 +10,7 @@ Four rule families over the source tree, one suppression convention:
   sign through the channel — the PR 1 fast-path contract, structurally;
 - lock discipline (``LOCK001``): attributes the live substrates' threads
   both write must hold a lock, or carry a ``guarded-by`` annotation that
-  :mod:`repro.runtime.sanitizer` then checks dynamically;
-- sharding contract (``SHARD001``): protocol/app code never addresses a
-  principal in another group directly — cross-group traffic goes through
-  the :class:`repro.sharding.Router` handle injected at deploy time.
+  :mod:`repro.runtime.sanitizer` then checks dynamically.
 
 Run ``python -m repro.analysis [--format text|json] [paths]``; the
 tier-1 suite keeps ``src/`` violation-free via

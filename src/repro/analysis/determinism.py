@@ -3,8 +3,8 @@
 Scope: the modules whose behaviour the sim substrate's parity tests pin
 (``sim/``, ``clbft/``, ``perpetual/``, ``ws/``, ``faults/``, the
 simulator's deploy loop ``scenario/local.py`` and ``scenario/sim.py``,
-``sharding/``, and the asyncio substrate ``runtime/aio.py``). On this
-code, wall-clock reads, ambient randomness, unordered iteration that
+and the asyncio substrate ``runtime/aio.py``). On this code,
+wall-clock reads, ambient randomness, unordered iteration that
 reaches the wire, identity-keyed match state, and bare asyncio
 sleeps/loop-clock reads are exactly the constructs that break same-seed
 replay — each gets its own rule so suppressions stay precise.
@@ -33,7 +33,6 @@ DETERMINISM_SCOPE = (
     "faults/",
     "scenario/local.py",
     "scenario/sim.py",
-    "sharding/",
     "runtime/aio.py",
 )
 

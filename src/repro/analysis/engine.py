@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 # Importing the rule modules registers their rules.
-from repro.analysis import determinism, locks, sharding, wire  # noqa: F401
+from repro.analysis import determinism, locks, wire  # noqa: F401
 from repro.analysis.core import RULES, SourceFile, Violation, rules_for
 
 #: Rule id reported for files the parser rejects.
@@ -93,9 +93,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.analysis",
         description=(
             "AST-based invariant linter for the protocol stack: "
-            "determinism (DET*), wire-contract (WIRE*), "
-            "lock-discipline (LOCK*), and sharding-contract (SHARD*) "
-            "rule families. Suppress a finding "
+            "determinism (DET*), wire-contract (WIRE*), and "
+            "lock-discipline (LOCK*) rule families. Suppress a finding "
             "with '# analysis: allow(RULE-ID) -- reason'; document a "
             "lock exception with '# analysis: guarded-by(<what>)'."
         ),

@@ -617,8 +617,8 @@ class ClbftReplica:
         METRICS.view_changes += 1
         min_s = max(v.stable_seqno for v in votes)
         if min_s > self.log.stable_seqno:
-            # Adopt the proven stable checkpoint (state transfer is modelled
-            # as instantaneous; see DESIGN.md section 2).
+            # Adopt the proven stable checkpoint; no application state is
+            # transferred (docs/architecture.md, "Perpetual and CLBFT").
             self.log.stable_seqno = min_s
             self.log._garbage_collect()
             self._stable_advanced()

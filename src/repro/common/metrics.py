@@ -54,11 +54,6 @@ class Metrics:
     batches_sent: int = 0
     #: Protocol messages carried inside those batch envelopes.
     batch_messages: int = 0
-    #: Driver requests issued through the sharding router tier.
-    requests_routed: int = 0
-    #: Routed requests whose target lived outside the caller's home
-    #: group (they travel the nested-invocation path across groups).
-    cross_group_calls: int = 0
 
     def reset(self) -> None:
         """Zero every counter (tests call this before a measured region)."""

@@ -2,7 +2,7 @@
 
 Each harness regenerates the series a figure plots and returns structured
 rows; the benchmark suite prints them and asserts the paper's qualitative
-shape. See DESIGN.md section 4 for the experiment index.
+shape.
 
 - :mod:`repro.experiments.microbench` -- the two-tier micro-benchmarks
   (Figures 7, 8, 9 and the section 6.4 textual claims);

@@ -1,4 +1,4 @@
-"""Design-choice ablations (DESIGN.md section 5).
+"""Design-choice ablations.
 
 Two measurable ablations back the paper's architectural arguments:
 

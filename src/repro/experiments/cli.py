@@ -26,11 +26,6 @@ examples (one per figure, plus the scenario runner):
          python -m repro.experiments run --scenario t.json --runtime threaded
          python -m repro.experiments run --preset echo-parity --runtime asyncio
 
-sharded presets (multi-group: consistent-hash or service_name routing;
-each group is an independent BFT worker set — see docs/scenarios.md):
-  shard: python -m repro.experiments run --preset sharded-echo --runtime process
-         python -m repro.experiments run --preset sharded-tpcw --runtime sim
-
 chaos presets (scripted adversaries; every kind runs on sim, threaded,
 and process — except link, which shapes the modelled network, sim only):
   crash      replica never speaks:         .crash("svc", 2)
@@ -134,13 +129,11 @@ def _run(args) -> None:
     print(f"scenario={metrics.scenario} runtime={metrics.runtime} "
           f"processes={metrics.processes} now_us={metrics.now_us}")
     for name, svc in sorted(metrics.services.items()):
-        group_label = f" group={svc.group}" if svc.group is not None else ""
         print(
             f"  {name:<12s} n={svc.n:<3d} completed={svc.completed_calls:<6d} "
             f"aborted={svc.aborted_calls:<4d} served={svc.requests_served:<6d} "
             f"delivered={svc.delivered_requests:<6d} "
             f"view_changes={svc.view_changes} view_lag={svc.view_lag}"
-            f"{group_label}"
         )
         if svc.app:
             print(f"  {'':<12s} app={svc.app}")

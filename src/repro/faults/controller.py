@@ -117,7 +117,7 @@ class FaultPlan:
                 cur = ReplicaFaultScript(service=service, index=index)
             merged[(service, index)] = replace(cur, **changes)
 
-        for fault in spec.all_faults():
+        for fault in spec.faults:
             if fault.kind == "byzantine":
                 patch(fault.service, fault.index,
                       byzantine_mode=fault.params.get("mode", "equivocate"))
@@ -327,7 +327,7 @@ class FaultInjector:
 def require_supported_kinds(spec: Any, unsupported: tuple, runtime: str) -> None:
     """Raise ConfigurationError if the spec declares fault kinds the
     named runtime cannot enforce (e.g. sim-only ``link`` faults)."""
-    for fault in spec.all_faults():
+    for fault in spec.faults:
         if fault.kind in unsupported:
             raise ConfigurationError(
                 f"{runtime} runtime does not support {fault.kind!r} faults "

@@ -81,8 +81,6 @@ class DriverNode(ProtocolNode):
         retry_budget: int = RETRY_BUDGET,
         fault: Any | None = None,
         batching: str | int = "off",
-        router: Any | None = None,
-        home_group: str | None = None,
     ) -> None:
         self.topology = topology
         self.service = service
@@ -95,11 +93,6 @@ class DriverNode(ProtocolNode):
         self._rtx_rng = DeterministicRng(0, f"rtx/{self.name}")
         self._fault = fault
         self._batching = batching
-        # Sharded scenarios inject the routing tier: an opaque handle
-        # with forward(home_group, target) -> decision.cross_group. The
-        # driver never asks which group owns a principal (SHARD001).
-        self._router = router
-        self._home_group = home_group
         self.wants_flush = batching == "tick"
         self._env: SimNodeEnv | None = None
         self._channel: ChannelAdapter | None = None
@@ -254,10 +247,6 @@ class DriverNode(ProtocolNode):
     # ------------------------------------------------------------------
 
     def _issue(self, request_id: RequestId, send: Send) -> None:
-        if self._router is not None:
-            METRICS.requests_routed += 1
-            if self._router.forward(self._home_group, send.target).cross_group:
-                METRICS.cross_group_calls += 1
         request = OutRequest(
             request_id=request_id,
             caller=ServiceId(self.service),

@@ -70,8 +70,6 @@ def build_replica(
     retransmit_timeout_us: int | None = None,
     fault_script: Any | None = None,
     batching: str | int = "off",
-    router: Any | None = None,
-    home_group: str | None = None,
 ) -> tuple[VoterNode, DriverNode]:
     """One replica's co-located voter/driver pair, unattached.
 
@@ -109,8 +107,6 @@ def build_replica(
         cost_model=cost_model,
         fault=driver_fault,
         batching=batching,
-        router=router,
-        home_group=home_group,
         **driver_kwargs,
     )
     return voter, driver
@@ -128,8 +124,6 @@ def deploy_service(
     hosts: list[str] | None = None,
     fault_plan: Any | None = None,
     batching: str | int = "off",
-    router: Any | None = None,
-    home_group: str | None = None,
 ) -> ServiceGroup:
     """Deploy every replica of ``service`` onto ``substrate``.
 
@@ -164,8 +158,6 @@ def deploy_service(
                 if fault_plan is not None else None
             ),
             batching=batching,
-            router=router,
-            home_group=home_group,
         )
         voter.attach(
             substrate.add_node(voter_name(service, index), voter, host=host)

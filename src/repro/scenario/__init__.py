@@ -55,9 +55,7 @@ from repro.scenario.runtime import (
 from repro.scenario.spec import (
     AppSpec,
     FaultSpec,
-    GroupSpec,
     NetworkSpec,
-    RoutingSpec,
     ScenarioBuilder,
     ScenarioSpec,
     ServiceDecl,
@@ -67,9 +65,7 @@ __all__ = [
     "AppSpec",
     "BuiltApp",
     "FaultSpec",
-    "GroupSpec",
     "NetworkSpec",
-    "RoutingSpec",
     "RUNTIME_NAMES",
     "Runtime",
     "ScenarioBuilder",

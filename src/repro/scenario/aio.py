@@ -5,10 +5,10 @@
 every voter and driver is a consumer task with an ``asyncio.Queue``
 inbox — the single-loop replica design (see the flexible-BFT excerpt in
 SNIPPETS.md) that scales past the thread-per-node substrate at high
-node counts. Deployment, faults, batching flush hooks, sharded
-multi-group specs, the settled predicate and metrics are the shared
-in-process code; only the scheduler differs, and its ``run`` owns the
-event loop (``asyncio.run`` for the length of the scenario).
+node counts. Deployment, faults, batching flush hooks, the settled
+predicate and metrics are the shared in-process code; only the
+scheduler differs, and its ``run`` owns the event loop (``asyncio.run``
+for the length of the scenario).
 """
 
 from __future__ import annotations

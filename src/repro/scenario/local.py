@@ -4,9 +4,7 @@
 onto one node table — the simulator kernel (:class:`repro.scenario.sim
 .SimRuntime`) or a real-clock :class:`~repro.runtime.host.NodeHost`
 scheduler (:class:`repro.scenario.threaded.InProcessRuntime`) — and
-observes it. A sharded spec is no special case: every group's services
-land on the same table with the router injected into every driver, so
-cross-group calls travel the same path as local ones.
+observes it.
 
 A subclass supplies only what differs between substrates: the node
 table (``_node_table``), how a crash fault takes a node out
@@ -35,7 +33,6 @@ from repro.scenario.runtime import (
     service_metrics,
 )
 from repro.scenario.spec import ScenarioSpec
-from repro.sharding import build_router
 from repro.ws.adapter import WsAdapter, collecting_executor_factory
 
 
@@ -50,7 +47,6 @@ class LocalRuntime(Runtime):
 
     def __init__(self) -> None:
         self._spec: ScenarioSpec | None = None
-        self._router = None
         self._groups: dict[str, ServiceGroup] = {}
         self._adapters: dict[str, list[WsAdapter]] = {}
         self._probes: dict[str, Callable[[], dict] | None] = {}
@@ -80,13 +76,12 @@ class LocalRuntime(Runtime):
         spec.validate()
         require_supported_kinds(spec, self.unsupported_faults, self.name)
         fault_plan = FaultPlan.from_spec(spec)
-        router = build_router(spec)
         nodes = self._node_table(spec)
         topology = Topology()
-        for decl in spec.all_services():
+        for decl in spec.services:
             topology.add(decl.name, decl.n)
         keys = KeyStore.for_deployment(spec.name)
-        for decl in spec.all_services():
+        for decl in spec.services:
             built = build_app(decl.app)
             self._adapters[decl.name] = []
             self._probes[decl.name] = built.probe
@@ -104,18 +99,12 @@ class LocalRuntime(Runtime):
                 hosts=list(decl.hosts) if decl.hosts is not None else None,
                 fault_plan=None if fault_plan.empty else fault_plan,
                 batching=spec.batching,
-                router=router,
-                home_group=(
-                    router.group_for_service(decl.name)
-                    if router is not None else None
-                ),
             )
-        for fault in spec.all_faults():
+        for fault in spec.faults:
             if fault.kind == "crash":
                 self._crash(voter_name(fault.service, fault.index))
                 self._crash(driver_name(fault.service, fault.index))
         self._spec = spec
-        self._router = router
         self._metrics_base = METRICS.snapshot()
         return self
 
@@ -126,7 +115,6 @@ class LocalRuntime(Runtime):
         services = {
             name: service_metrics(
                 self._spec,
-                self._router,
                 name,
                 live_snapshots(
                     self._spec, name, group, self._adapters[name],

@@ -147,122 +147,6 @@ def tpcw_scenario(
     return builder.build()
 
 
-def sharded_echo_scenario(
-    group_count: int = 2,
-    n: int = 4,
-    total_calls: int = 6,
-    duration_s: float = 60.0,
-    name: str | None = None,
-) -> ScenarioSpec:
-    """Echo parity, sharded: one closed echo/caller pair per group.
-
-    Group-closed (no cross-group calls); every substrate runs all groups
-    side by side on one flat namespace, the simulator on one kernel. The
-    2-group flavour is the fig10 representative cell.
-    """
-    builder = ScenarioBuilder(
-        name or f"sharded-echo-{group_count}-{n}-{total_calls}"
-    ).duration(duration_s)
-    for g in range(group_count):
-        group = f"g{g}"
-        builder.service(f"{group}-target", n=n, app="echo", group=group)
-        builder.service(
-            f"{group}-caller", n=n, app="sync_caller",
-            target=f"{group}-target", total_calls=total_calls, group=group,
-        )
-    return builder.build()
-
-
-#: The TPC-W interaction classes the sharded preset partitions traffic
-#: by: each class becomes one group's mix (page weights sum to 100).
-#: Page names match repro.tpcw.interactions (string literals here to keep
-#: presets importable from the tpcw harness without a cycle).
-TPCW_INTERACTION_CLASSES: tuple[dict, ...] = (
-    {
-        "name": "browse",
-        "weights": [
-            ["home", 30],
-            ["new_products", 20],
-            ["best_sellers", 15],
-            ["product_detail", 35],
-        ],
-    },
-    {
-        "name": "search",
-        "weights": [
-            ["search_request", 35],
-            ["search_results", 35],
-            ["shopping_cart", 20],
-            ["customer_registration", 10],
-        ],
-    },
-    {
-        "name": "order",
-        "weights": [
-            ["buy_request", 30],
-            ["buy_confirm", 30],
-            ["order_inquiry", 20],
-            ["order_display", 20],
-        ],
-    },
-)
-
-
-def sharded_tpcw_scenario(
-    group_count: int = 3,
-    rbes_per_group: int = 3,
-    n_pge: int = 4,
-    n_bank: int | None = None,
-    duration_s: float = 40.0,
-    think_time_mean_us: int = 7_000_000,
-    seed: int = 11,
-    name: str = "sharded-tpcw",
-) -> ScenarioSpec:
-    """TPC-W split by interaction class across independent BFT groups.
-
-    Each group runs its own bank -> PGE -> bookstore chain plus an RBE
-    population driving one interaction class (browse / search / order,
-    cycled when ``group_count`` exceeds the classes) — the
-    millions-of-users shape: aggregate throughput scales with the number
-    of groups because every group orders, executes, and thinks
-    independently. ``service_name`` routing pins every service to its
-    group; the preset runs on all four substrates.
-    """
-    if n_bank is None:
-        n_bank = n_pge
-    builder = (
-        ScenarioBuilder(name)
-        .duration(duration_s)
-        .seed(seed)
-        .routing("service_name")
-    )
-    classes = TPCW_INTERACTION_CLASSES
-    for g in range(group_count):
-        group = f"g{g}"
-        mix = classes[g % len(classes)]
-        builder.service(f"{group}-bank", n=n_bank, app="bank", group=group)
-        builder.service(
-            f"{group}-pge", n=n_pge, app="pge", group=group,
-            bank_endpoint=f"{group}-bank", synchronous=False,
-        )
-        builder.service(
-            f"{group}-bookstore", n=1, app="bookstore", group=group,
-            seed=seed + g, pge_endpoint=f"{group}-pge", synchronous_pge=False,
-        )
-        # One host per group's RBE population, as in the flat preset.
-        for i in range(rbes_per_group):
-            builder.service(
-                f"{group}-rbe{i}", n=1, app="rbe", group=group,
-                hosts=[f"{group}-rbe-host"],
-                rbe_index=g * rbes_per_group + i,
-                bookstore_endpoint=f"{group}-bookstore",
-                seed=seed,
-                think_time_mean_us=think_time_mean_us,
-                mix=mix,
-            )
-    return builder.build()
-
-
 def orchestration_scenario(
     orders: list[dict] | None = None,
     stock: dict[str, int] | None = None,
@@ -402,8 +286,6 @@ PRESETS: dict[str, Callable[[], ScenarioSpec]] = {
     ),
     "echo-parity": lambda: echo_parity_scenario(),
     "tpcw-small": lambda: tpcw_scenario(rbe_count=8, n_pge=4, duration_s=40.0),
-    "sharded-echo": lambda: sharded_echo_scenario(),
-    "sharded-tpcw": lambda: sharded_tpcw_scenario(),
     "orchestration": lambda: orchestration_scenario(),
     "chaos-equivocating-primary": chaos_equivocating_primary,
     "chaos-partition-heal": chaos_partition_heal,

@@ -72,7 +72,6 @@ from repro.scenario.runtime import (
     service_metrics,
 )
 from repro.scenario.spec import ScenarioSpec
-from repro.sharding import build_router
 from repro.transport.wire import (
     BatchEnvelope,
     WireEnvelope,
@@ -267,15 +266,8 @@ def _worker_main(spec_json: str, service: str, index: int, conn: Connection) -> 
 
     spec = ScenarioSpec.from_json(spec_json)
     decl = spec.service(service)
-    # Sharded specs rebuild the full routing table here: the topology
-    # spans every group (the flat principal namespace routes cross-group
-    # frames through the parent exactly like local ones), and the driver
-    # gets the router handle plus its home group.
-    from repro.sharding import build_router
-
-    router = build_router(spec)
     topology = Topology()
-    for s in spec.all_services():
+    for s in spec.services:
         topology.add(s.name, s.n)
     keys = KeyStore.for_deployment(spec.name)
     built = build_app(decl.app)
@@ -296,10 +288,6 @@ def _worker_main(spec_json: str, service: str, index: int, conn: Connection) -> 
         clbft_overrides=decl.clbft,
         fault_script=fault_plan.script_for(service, index),
         batching=spec.batching,
-        router=router,
-        home_group=(
-            router.group_for_service(service) if router is not None else None
-        ),
     )
     voter.attach(host.add_node(voter_name(service, index), voter))
     driver.attach(host.add_node(driver_name(service, index), driver))
@@ -393,8 +381,6 @@ class ProcessRuntime(Runtime):
         self._router_thread: threading.Thread | None = None
         self._egress_thread: threading.Thread | None = None
         self._epoch = 0.0
-        #: Sharding routing table (None on classic single-group specs).
-        self._router = None
 
     # -- deployment ----------------------------------------------------------
 
@@ -412,7 +398,7 @@ class ProcessRuntime(Runtime):
             scenario_cost_model,
         )
 
-        for decl in spec.all_services():
+        for decl in spec.services:
             build_app(decl.app)
             scenario_cost_model(spec, decl)
             name = decl.crypto if decl.crypto is not None else spec.crypto
@@ -424,10 +410,9 @@ class ProcessRuntime(Runtime):
                     "it in the spec via crypto_params instead"
                 )
         crashed = {
-            (f.service, f.index) for f in spec.all_faults() if f.kind == "crash"
+            (f.service, f.index) for f in spec.faults if f.kind == "crash"
         }
         self._spec = spec
-        self._router = build_router(spec)
         ctx = multiprocessing.get_context()
         spec_json = spec.to_json()
         # The router/egress threads start before the first spawn (they
@@ -440,7 +425,7 @@ class ProcessRuntime(Runtime):
         self._router_thread.start()
         self._egress_thread.start()
         try:
-            for decl in spec.all_services():
+            for decl in spec.services:
                 for index in range(decl.n):
                     if (decl.name, index) in crashed:
                         continue  # a crashed machine is simply never started
@@ -663,11 +648,10 @@ class ProcessRuntime(Runtime):
         services = {
             decl.name: service_metrics(
                 self._spec,
-                self._router,
                 decl.name,
                 {i: data for (name, i), data in stats.items() if name == decl.name},
             )
-            for decl in self._spec.all_services()
+            for decl in self._spec.services
         }
         # Counters sum across workers: each zeroes METRICS at bootstrap,
         # so the sum is exactly this run's activity.

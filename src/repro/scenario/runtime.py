@@ -34,7 +34,7 @@ RUNTIME_NAMES = ("sim", "threaded", "process", "asyncio")
 def live_indices(spec: ScenarioSpec, service: str) -> list[int]:
     """Replica indices of ``service`` that no crash fault took out."""
     crashed = {
-        f.index for f in spec.all_faults()
+        f.index for f in spec.faults
         if f.kind == "crash" and f.service == service
     }
     return [i for i in range(spec.service(service).n) if i not in crashed]
@@ -77,9 +77,6 @@ class ServiceMetrics:
     reply_cache_size: int = 0
     #: Application probe output (workload counters, TPC-W stats, ...).
     app: dict = field(default_factory=dict)
-    #: Home group in a sharded scenario (None on classic single-group
-    #: runs, so unsharded metrics keep their exact pre-sharding shape).
-    group: str | None = None
 
 
 def replica_snapshot(voter, driver, adapter, app: dict) -> dict:
@@ -116,7 +113,7 @@ def live_snapshots(spec: ScenarioSpec, name: str, group, adapters, probe) -> dic
 
 
 def service_metrics(
-    spec: ScenarioSpec, router, name: str, snapshots: dict[int, dict]
+    spec: ScenarioSpec, name: str, snapshots: dict[int, dict]
 ) -> ServiceMetrics:
     """The one place a service's metrics are assembled, on every substrate.
 
@@ -127,12 +124,9 @@ def service_metrics(
     reporting replica if the observer has not reported yet — and the
     view fields aggregate over all of them.
     """
-    group = spec.group_of(name) or (
-        router.group_for_service(name) if router is not None else None
-    )
     n = spec.service(name).n
     if not snapshots:
-        return ServiceMetrics(n=n, group=group)
+        return ServiceMetrics(n=n)
     data = snapshots.get(observer_index(spec, name))
     if data is None:
         data = snapshots[min(snapshots)]
@@ -148,7 +142,6 @@ def service_metrics(
         view_lag=view_lag(s["view"] for s in snapshots.values()),
         reply_cache_size=data["reply_cache_size"],
         app=dict(data["app"]),
-        group=group,
     )
 
 
@@ -174,20 +167,6 @@ class ScenarioMetrics:
 
     def total_aborted(self) -> int:
         return sum(s.aborted_calls for s in self.services.values())
-
-    def by_group(self) -> dict[str | None, dict]:
-        """Per-group aggregation, keyed by group name in first-seen
-        (declaration) order; classic runs yield one ``None`` bucket."""
-        out: dict[str | None, dict] = {}
-        for name, svc in self.services.items():
-            bucket = out.setdefault(
-                svc.group,
-                {"services": [], "completed_calls": 0, "aborted_calls": 0},
-            )
-            bucket["services"].append(name)
-            bucket["completed_calls"] += svc.completed_calls
-            bucket["aborted_calls"] += svc.aborted_calls
-        return out
 
 
 class Runtime:

@@ -42,7 +42,7 @@ def build_network(spec: ScenarioSpec) -> tuple[NetworkModel, PartitionModel | No
     else:
         raise ConfigurationError(f"unknown network kind {spec.network.kind!r}")
 
-    link_faults = [f for f in spec.all_faults() if f.kind == "link"]
+    link_faults = [f for f in spec.faults if f.kind == "link"]
     if link_faults:
         faulty = FaultyLink(model)
         for fault in link_faults:
@@ -53,7 +53,7 @@ def build_network(spec: ScenarioSpec) -> tuple[NetworkModel, PartitionModel | No
         model = faulty
 
     partition: PartitionModel | None = None
-    if any(f.kind == "crash" for f in spec.all_faults()):
+    if any(f.kind == "crash" for f in spec.faults):
         partition = PartitionModel(model)
         model = partition
     return model, partition
@@ -62,9 +62,9 @@ def build_network(spec: ScenarioSpec) -> tuple[NetworkModel, PartitionModel | No
 class SimRuntime(LocalRuntime):
     """Executes scenarios on the deterministic discrete-event kernel.
 
-    Every service of the spec — all groups of a sharded one — is
-    deployed onto one :class:`~repro.sim.kernel.Simulator` carrying the
-    spec's network; a crash fault cuts the replica off that network.
+    Every service of the spec is deployed onto one
+    :class:`~repro.sim.kernel.Simulator` carrying the spec's network; a
+    crash fault cuts the replica off that network.
     """
 
     name = "sim"

@@ -19,19 +19,13 @@ Specs round-trip through JSON (``to_json`` / ``from_json``), which is what
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
 from repro.common.errors import ConfigurationError
 
 FAULT_KINDS = ("crash", "link", "byzantine", "delay", "partition", "restart")
 NETWORK_KINDS = ("lan", "uniform")
-
-#: Client-routing policies accepted by ``RoutingSpec.policy`` (sharded
-#: scenarios only): ``service_name`` pins every service to its declaring
-#: group; ``consistent_hash`` additionally places top-level (ungrouped)
-#: client services on a hash ring over the group names.
-ROUTING_POLICIES = ("service_name", "consistent_hash")
 
 #: Byzantine behaviours accepted by ``FaultSpec(kind="byzantine")``.
 BYZANTINE_MODES = ("equivocate", "corrupt", "mute")
@@ -182,38 +176,6 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class GroupSpec:
-    """One independent BFT group in a sharded scenario.
-
-    A group owns its services and its faults; nothing inside a group may
-    address a principal of another group directly — cross-group traffic
-    goes through the :class:`repro.sharding.Router` tier (rule SHARD001).
-    Service names stay globally unique across the whole scenario, so the
-    flat principal namespace (``svc/vN``/``svc/dN``) is unchanged.
-    """
-
-    name: str
-    services: tuple[ServiceDecl, ...] = ()
-    faults: tuple[FaultSpec, ...] = ()
-
-
-@dataclass(frozen=True)
-class RoutingSpec:
-    """The client-routing policy of a sharded scenario.
-
-    ``service_name`` (default): every service lives in the group that
-    declares it; top-level services are not allowed. ``consistent_hash``:
-    top-level services are clients assigned to a home group by a
-    consistent-hash ring over the group names (``params["vnodes"]``
-    virtual points per group, default 64, keyed by the client's service
-    name).
-    """
-
-    policy: str = "service_name"
-    params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     """A complete, substrate-agnostic scenario description."""
 
@@ -241,43 +203,21 @@ class ScenarioSpec:
     #: (buffered messages flush when the window timer fires). See
     #: ``docs/scenarios.md``.
     batching: str | int = "off"
-    #: Sharding: independent BFT groups, each with its own services and
-    #: faults. Empty = classic single-group scenario (every existing
-    #: spec; execution paths are untouched and stay bit-identical).
-    groups: tuple[GroupSpec, ...] = ()
-    #: Client-routing policy; required iff ``groups`` is non-empty.
-    routing: RoutingSpec | None = None
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def is_sharded(self) -> bool:
-        return bool(self.groups)
-
     def all_services(self) -> tuple[ServiceDecl, ...]:
-        """Every service in declaration order: top-level, then groups."""
-        return self.services + tuple(
-            decl for group in self.groups for decl in group.services
-        )
+        """Every service, in declaration order (``bench/`` reads it)."""
+        return self.services
 
     def all_faults(self) -> tuple[FaultSpec, ...]:
-        """Every fault in declaration order: top-level, then groups."""
-        return self.faults + tuple(
-            fault for group in self.groups for fault in group.faults
-        )
-
-    def group_of(self, service_name: str) -> str | None:
-        """The declaring group's name, or None for top-level services."""
-        for group in self.groups:
-            for decl in group.services:
-                if decl.name == service_name:
-                    return group.name
-        return None
+        """Every fault, in declaration order (``bench/`` reads it)."""
+        return self.faults
 
     def service(self, name: str) -> ServiceDecl:
-        for decl in self.all_services():
+        for decl in self.services:
             if decl.name == name:
                 return decl
         raise ConfigurationError(f"scenario {self.name!r} has no service {name!r}")
@@ -285,7 +225,7 @@ class ScenarioSpec:
     def validate(self) -> "ScenarioSpec":
         """Check internal consistency; returns self for chaining."""
         seen: set[str] = set()
-        for decl in self.all_services():
+        for decl in self.services:
             if (not decl.name or "/" in decl.name or "\x00" in decl.name):
                 # "/" delimits principal names (svc/vN), NUL delimits the
                 # process runtime's wire-frame routing header.
@@ -293,8 +233,6 @@ class ScenarioSpec:
                     f"invalid service name {decl.name!r}"
                 )
             if decl.name in seen:
-                # Also catches the same name declared in two groups: the
-                # principal namespace (svc/vN) is scenario-global.
                 raise ConfigurationError(f"duplicate service {decl.name!r}")
             seen.add(decl.name)
             if decl.n < 1:
@@ -306,7 +244,6 @@ class ScenarioSpec:
                     f"service {decl.name!r}: {len(decl.hosts)} hosts for "
                     f"{decl.n} replicas"
                 )
-        self._validate_sharding()
         if self.batching not in ("off", "tick") and not (
             isinstance(self.batching, int)
             and not isinstance(self.batching, bool)
@@ -321,32 +258,15 @@ class ScenarioSpec:
                 f"unknown network kind {self.network.kind!r} "
                 f"(known: {', '.join(NETWORK_KINDS)})"
             )
-        scoped_faults = [(fault, None) for fault in self.faults] + [
-            (fault, group) for group in self.groups for fault in group.faults
-        ]
-        for fault, group in scoped_faults:
+        for fault in self.faults:
             if fault.kind not in FAULT_KINDS:
                 raise ConfigurationError(
                     f"unknown fault kind {fault.kind!r} "
                     f"(known: {', '.join(FAULT_KINDS)})"
                 )
             if fault.kind == "link":
-                # All groups share one network: a top-level rule may
-                # name any principal, a group's rule only its own.
-                self._validate_link_fault(
-                    fault,
-                    group.services if group is not None
-                    else self.all_services(),
-                )
+                self._validate_link_fault(fault)
                 continue
-            if group is not None and all(
-                decl.name != fault.service for decl in group.services
-            ):
-                raise ConfigurationError(
-                    f"{fault.kind} fault in group {group.name!r} names "
-                    f"service {fault.service!r}, which the group does "
-                    f"not declare"
-                )
             # Every remaining kind names a (service, index) replica;
             # partition uses the service but addresses replicas via
             # params["side"].
@@ -422,49 +342,7 @@ class ScenarioSpec:
                     )
         return self
 
-    def _validate_sharding(self) -> None:
-        if not self.groups:
-            if self.routing is not None:
-                raise ConfigurationError(
-                    "routing policy declared but the scenario has no groups"
-                )
-            return
-        if self.routing is None:
-            raise ConfigurationError(
-                f"sharded scenario {self.name!r} needs a routing policy "
-                f"(known: {', '.join(ROUTING_POLICIES)})"
-            )
-        if self.routing.policy not in ROUTING_POLICIES:
-            raise ConfigurationError(
-                f"unknown routing policy {self.routing.policy!r} "
-                f"(known: {', '.join(ROUTING_POLICIES)})"
-            )
-        vnodes = self.routing.params.get("vnodes", 64)
-        if not isinstance(vnodes, int) or isinstance(vnodes, bool) or vnodes < 1:
-            raise ConfigurationError(
-                f"routing vnodes must be a positive integer (got {vnodes!r})"
-            )
-        seen_groups: set[str] = set()
-        for group in self.groups:
-            if not group.name or "/" in group.name or "\x00" in group.name:
-                raise ConfigurationError(f"invalid group name {group.name!r}")
-            if group.name in seen_groups:
-                raise ConfigurationError(f"duplicate group {group.name!r}")
-            seen_groups.add(group.name)
-            if not group.services:
-                raise ConfigurationError(
-                    f"group {group.name!r} declares no services"
-                )
-        if self.services and self.routing.policy != "consistent_hash":
-            raise ConfigurationError(
-                f"top-level services {[s.name for s in self.services]} in a "
-                f"sharded scenario need the consistent_hash routing policy "
-                f"(service_name pins every service to a declaring group)"
-            )
-
-    def _validate_link_fault(
-        self, fault: "FaultSpec", services: tuple[ServiceDecl, ...]
-    ) -> None:
+    def _validate_link_fault(self, fault: "FaultSpec") -> None:
         unknown = set(fault.params) - _LINK_PARAM_KEYS
         if unknown:
             raise ConfigurationError(
@@ -476,7 +354,7 @@ class ScenarioSpec:
             if endpoint == "*":
                 continue
             if not isinstance(endpoint, str) or not _is_principal_of(
-                endpoint, services
+                endpoint, self.services
             ):
                 raise ConfigurationError(
                     f"link fault {role} {endpoint!r} names no principal: "
@@ -512,25 +390,19 @@ class ScenarioSpec:
             "seed": self.seed,
             "max_events": self.max_events,
             "batching": self.batching,
-            "groups": [
-                {
-                    "name": g.name,
-                    "services": [_service_to_dict(s) for s in g.services],
-                    "faults": [_fault_to_dict(f) for f in g.faults],
-                }
-                for g in self.groups
-            ],
-            "routing": (
-                {"policy": self.routing.policy, "params": self.routing.params}
-                if self.routing is not None else None
-            ),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         try:
+            known = {f.name for f in fields(cls)}
+            unknown = set(data) - known
+            if unknown:
+                raise ConfigurationError(
+                    f"scenario document has unknown keys {sorted(unknown)} "
+                    f"(known: {sorted(known)})"
+                )
             network_data = data.get("network") or {}
-            routing_data = data.get("routing")
             return cls(
                 name=data["name"],
                 services=tuple(
@@ -552,25 +424,6 @@ class ScenarioSpec:
                 seed=data.get("seed", 11),
                 max_events=data.get("max_events"),
                 batching=data.get("batching", "off"),
-                groups=tuple(
-                    GroupSpec(
-                        name=g["name"],
-                        services=tuple(
-                            _service_from_dict(s) for s in g.get("services", ())
-                        ),
-                        faults=tuple(
-                            _fault_from_dict(f) for f in g.get("faults", ())
-                        ),
-                    )
-                    for g in data.get("groups", ())
-                ),
-                routing=(
-                    RoutingSpec(
-                        policy=routing_data.get("policy", "service_name"),
-                        params=dict(routing_data.get("params") or {}),
-                    )
-                    if routing_data is not None else None
-                ),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"malformed scenario document: {exc}") from exc
@@ -620,9 +473,6 @@ class ScenarioBuilder:
         self._seed = 11
         self._max_events: int | None = None
         self._batching: str | int = "off"
-        #: group name -> declared services, in first-appearance order.
-        self._group_services: dict[str, list[ServiceDecl]] = {}
-        self._routing: RoutingSpec | None = None
 
     def service(
         self,
@@ -632,31 +482,17 @@ class ScenarioBuilder:
         crypto: str | None = None,
         hosts: list[str] | None = None,
         clbft: dict | None = None,
-        group: str | None = None,
         **params: Any,
     ) -> "ScenarioBuilder":
-        """Add a replicated service; ``params`` go to the app builder.
-
-        ``group`` places the service in a named BFT group (creating the
-        group on first use); None keeps it top-level.
-        """
-        decl = ServiceDecl(
+        """Add a replicated service; ``params`` go to the app builder."""
+        self._services.append(ServiceDecl(
             name=name,
             n=n,
             app=AppSpec(kind=app, params=params),
             crypto=crypto,
             hosts=tuple(hosts) if hosts is not None else None,
             clbft=clbft,
-        )
-        if group is None:
-            self._services.append(decl)
-        else:
-            self._group_services.setdefault(group, []).append(decl)
-        return self
-
-    def routing(self, policy: str, **params: Any) -> "ScenarioBuilder":
-        """Select the client-routing policy of a sharded scenario."""
-        self._routing = RoutingSpec(policy=policy, params=params)
+        ))
         return self
 
     def network(self, kind: str, **params: Any) -> "ScenarioBuilder":
@@ -753,63 +589,15 @@ class ScenarioBuilder:
         return self
 
     def build(self) -> ScenarioSpec:
-        groups, faults = self._partition_groups()
-        routing = self._routing
-        if groups and routing is None:
-            routing = RoutingSpec()
         return ScenarioSpec(
             name=self._name,
             services=tuple(self._services),
             network=self._network,
             crypto=self._crypto,
             crypto_params=self._crypto_params,
-            faults=faults,
+            faults=tuple(self._faults),
             duration_s=self._duration_s,
             seed=self._seed,
             max_events=self._max_events,
             batching=self._batching,
-            groups=groups,
-            routing=routing,
         ).validate()
-
-    def _partition_groups(self) -> tuple[tuple[GroupSpec, ...], tuple[FaultSpec, ...]]:
-        """Assemble GroupSpecs and assign each declared fault to the
-        group that owns its service (link faults: the group owning every
-        concrete src/dst principal); the rest stay top-level."""
-        if not self._group_services:
-            return (), tuple(self._faults)
-        owner = {
-            decl.name: group
-            for group, decls in self._group_services.items()
-            for decl in decls
-        }
-        group_faults: dict[str, list[FaultSpec]] = {
-            group: [] for group in self._group_services
-        }
-        top_level: list[FaultSpec] = []
-        for fault in self._faults:
-            if fault.kind == "link":
-                # A group's rule when every principal it names is the
-                # group's own; a rule across groups stays top-level.
-                named = (fault.params.get("src"), fault.params.get("dst"))
-                owners = {
-                    owner.get(endpoint.rpartition("/")[0])
-                    for endpoint in named
-                    if isinstance(endpoint, str) and "/" in endpoint
-                }
-                group = owners.pop() if len(owners) == 1 else None
-            else:
-                group = owner.get(fault.service)
-            if group is None:
-                top_level.append(fault)
-            else:
-                group_faults[group].append(fault)
-        groups = tuple(
-            GroupSpec(
-                name=group,
-                services=tuple(decls),
-                faults=tuple(group_faults[group]),
-            )
-            for group, decls in self._group_services.items()
-        )
-        return groups, tuple(top_level)

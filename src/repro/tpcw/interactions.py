@@ -12,7 +12,7 @@ Buy Confirm, but the paper states that "around 5-10% of the total traffic
 received by the bookstore results in requests being issued to an external
 Payment Gateway Emulator"; :data:`PAPER_MIX` therefore shifts weight
 toward the ordering pages to land the payment fraction in that band
-(documented substitution — see DESIGN.md section 2).
+(a deliberate substitution for the canonical mix).
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ layering:
 - :class:`repro.transport.channel.ChannelAdapter` — signs outgoing
   messages with MAC authenticators, verifies incoming ones, charges the
   crypto cost model, and hands verified protocol messages up;
-- :class:`repro.transport.connection.Connection` — the wire; the simulated
-  connection rides the discrete-event kernel, and the in-process
-  connection backs the threaded runtime;
+- :class:`repro.transport.connection.Connection` — the wire; its one
+  implementation hands envelopes to the node environment of whichever
+  substrate hosts the node;
 - :mod:`repro.transport.wire` — framing of protocol messages into
   authenticated wire envelopes, and the envelopes' two wire forms: the
   plain-data one the canonical codec can encode and the binary one a
@@ -26,13 +26,12 @@ and ``ChannelAdapter.flush``/``open_batch``. Full description:
 """
 
 from repro.transport.channel import ChannelAdapter
-from repro.transport.connection import Connection, SimConnection, DirectConnection
+from repro.transport.connection import Connection, SimConnection
 from repro.transport.wire import WireEnvelope
 
 __all__ = [
     "ChannelAdapter",
     "Connection",
-    "DirectConnection",
     "SimConnection",
     "WireEnvelope",
 ]

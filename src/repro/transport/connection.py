@@ -4,18 +4,15 @@
 (section 3, "Transport independence"): the ChannelAdapter never names a
 protocol; a Connection moves envelopes between principals.
 
-Two implementations ship:
-
-- :class:`SimConnection` rides the discrete-event kernel (the default for
-  all experiments);
-- :class:`DirectConnection` delivers synchronously in-process via a
-  router callable (used by the threaded runtime, where the router pushes
-  onto per-node thread-safe queues).
+One implementation ships: :class:`SimConnection` hands each envelope to
+its node environment's ``send``. Every substrate's environment offers
+that method — the simulator's ``SimNodeEnv`` and the real-clock
+substrates' ``NodeEnv`` (:mod:`repro.runtime.host`) alike.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.transport.wire import WireEnvelope
 
@@ -28,10 +25,10 @@ class Connection:
 
 
 class SimConnection(Connection):
-    """Connection over the simulated network.
+    """Connection over a node environment's ``send``.
 
-    Wraps a :class:`repro.sim.kernel.SimNodeEnv`; delivery latency and
-    drops come from the kernel's installed network model.
+    On the simulator (:class:`repro.sim.kernel.SimNodeEnv`) delivery
+    latency and drops come from the kernel's installed network model.
     """
 
     def __init__(self, env) -> None:
@@ -39,18 +36,3 @@ class SimConnection(Connection):
 
     def transmit(self, dst: Any, envelope: WireEnvelope) -> None:
         self._env.send(dst, envelope, size_bytes=envelope.size_bytes)
-
-
-class DirectConnection(Connection):
-    """Synchronous in-process delivery through a router callable.
-
-    ``router(src, dst, envelope)`` is supplied by the hosting runtime; the
-    threaded runtime implements it with thread-safe queues.
-    """
-
-    def __init__(self, src: Any, router: Callable[[Any, Any, WireEnvelope], None]) -> None:
-        self._src = src
-        self._router = router
-
-    def transmit(self, dst: Any, envelope: WireEnvelope) -> None:
-        self._router(self._src, dst, envelope)

@@ -1,15 +1,14 @@
 """Substrate conformance suite: one scenario matrix, every runtime.
 
 Any runtime registered in :data:`repro.scenario.runtime.RUNTIME_NAMES`
-must complete the same six workloads with the same observable outcome.
+must complete the same four workloads with the same observable outcome.
 Before this suite existed, the parity assertions were copy-pasted per
 substrate across ``test_scenario_runtimes.py`` / ``test_fault_parity.py``
-/ ``test_sharded_runtimes.py`` — every new substrate meant editing all
-of them. Now a substrate joins the matrix by joining ``RUNTIME_NAMES``
+— every new substrate meant editing all of them. Now a substrate joins the matrix by joining ``RUNTIME_NAMES``
 (asyncio joined on day one), and ``test_conformance.py`` parametrizes
 the whole matrix with one ``@pytest.mark.parametrize("runtime", ...)``.
 
-The six cases, each the acceptance bar of the change that introduced
+The four cases, each the acceptance bar of the change that introduced
 its capability:
 
 - **echo** — plain 4-replica echo parity (identical completed/aborted/
@@ -22,12 +21,6 @@ its capability:
   clock, where ``tick`` is one mailbox drain, at most
   :data:`TICK_MAC_RATIO` of the MAC computations of the same run with
   batching off);
-- **sharded-echo** — a group-closed 2-group scenario with per-group
-  metric labels and routed-request counters (router injection);
-- **sharded-cross** — a consistent-hash top-level client homed on g1
-  calls a g0 service: every issue crosses the group boundary through
-  the router (``requests_routed == cross_group_calls``), on the
-  simulator as on the live substrates;
 - **restart-primary** — the target's view-0 primary is down across the
   view change that replaces it and comes back mid-workload: every call
   completes and the restarted replica ends in the group's view
@@ -41,12 +34,10 @@ named runtime, asserting the substrate's own error channel is clean
 from repro.scenario.presets import (
     chaos_slow_drip,
     echo_parity_scenario,
-    sharded_echo_scenario,
     two_tier_scenario,
 )
 from repro.scenario.runtime import RUNTIME_NAMES, Runtime, get_runtime
 from repro.scenario.spec import ScenarioBuilder
-from repro.sharding import HashRing
 
 #: The full substrate matrix. New runtimes join automatically.
 RUNTIMES = tuple(RUNTIME_NAMES)
@@ -54,8 +45,6 @@ RUNTIMES = tuple(RUNTIME_NAMES)
 ECHO_CALLS = 6
 DRIP_CALLS = 4
 WINDOW_CALLS = 8
-SHARDED_CALLS = 4
-CROSS_CALLS = 3
 RESTART_CALLS = 300
 
 #: batching-window-4 on a real-clock substrate: MAC computations per
@@ -86,7 +75,7 @@ def run_on(runtime, spec, until_s: float = 90):
         rt.shutdown()
 
 
-# -- the five cases ---------------------------------------------------------
+# -- the four cases ---------------------------------------------------------
 
 
 def check_echo(runtime) -> None:
@@ -138,66 +127,6 @@ def check_batching_window_4(runtime) -> None:
     )
 
 
-def assert_sharded_echo_shape(metrics, total_calls: int = SHARDED_CALLS):
-    """The sharding tentpole's observable shape, substrate-independent."""
-    for group in ("g0", "g1"):
-        caller = metrics.services[f"{group}-caller"]
-        assert caller.completed_calls == total_calls
-        assert caller.aborted_calls == 0
-        assert caller.group == group
-        assert metrics.services[f"{group}-target"].group == group
-    per_group = metrics.by_group()
-    assert set(per_group) == {"g0", "g1"}
-    for summary in per_group.values():
-        assert summary["completed_calls"] == total_calls
-    # Every driver replica routes each issue; the preset is group-closed.
-    assert metrics.counters["requests_routed"] == 2 * 4 * total_calls
-    assert metrics.counters["cross_group_calls"] == 0
-
-
-def check_sharded_echo(runtime) -> None:
-    spec = sharded_echo_scenario(
-        group_count=2,
-        n=4,
-        total_calls=SHARDED_CALLS,
-        name=f"conf-shard-{runtime}",
-    )
-    assert_sharded_echo_shape(run_on(runtime, spec))
-
-
-def cross_group_spec(name: str):
-    """A top-level client whose ring home is NOT its target's group.
-
-    The ring is deterministic, so probe it for a client name that lands
-    on g1 while calling into g0 — every issue then crosses a boundary.
-    """
-    ring = HashRing(("g0", "g1"))
-    client = next(
-        f"client{i}" for i in range(50) if ring.assign(f"client{i}") == "g1"
-    )
-    spec = (
-        ScenarioBuilder(name)
-        .routing("consistent_hash")
-        .service("g0-target", n=4, app="echo", group="g0")
-        .service("g1-other", n=4, app="echo", group="g1")
-        .service(client, n=4, app="sync_caller",
-                 target="g0-target", total_calls=CROSS_CALLS)
-        .build()
-    )
-    return spec, client
-
-
-def check_sharded_cross(runtime) -> None:
-    spec, client = cross_group_spec(f"conf-cross-{runtime}")
-    metrics = run_on(runtime, spec)
-    assert metrics.services[client].completed_calls == CROSS_CALLS
-    assert metrics.services[client].aborted_calls == 0
-    assert metrics.services[client].group == "g1"
-    # 4 caller replicas x 3 calls, every one across the boundary.
-    assert metrics.counters["requests_routed"] == 4 * CROSS_CALLS
-    assert metrics.counters["cross_group_calls"] == 4 * CROSS_CALLS
-
-
 def check_restart_primary(runtime) -> None:
     # Down from 0.1 s to 1.0 s: the backups' view-change timer (0.5 s
     # after the first retransmission) replaces the primary while it is
@@ -231,7 +160,5 @@ CASES = {
     "echo": check_echo,
     "chaos-slow-drip": check_chaos_slow_drip,
     "batching-window-4": check_batching_window_4,
-    "sharded-echo": check_sharded_echo,
-    "sharded-cross": check_sharded_cross,
     "restart-primary": check_restart_primary,
 }

@@ -3,18 +3,21 @@
 Cross-substrate workload parity lives in the conformance matrix
 (``test_conformance.py``); this file keeps what is *specific* to one
 runtime — sim determinism, real OS-process parallelism, crash-fault
-observer fallback, fail-fast deploy validation, the process worker's
-bootstrap cache clear and frames far above the pipe buffer, the exact
-stop beside a stalled worker, and runtime selection.
+observer fallback, fail-fast deploy validation, frames far above the
+pipe buffer, the exact stop beside a stalled worker, a teardown that
+leaves nothing behind when a worker fails to start, link faults on a
+kernel that several service pairs share, and runtime selection.
 """
 
 import multiprocessing
 import os
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.perpetual.executor import Sleep
 from repro.scenario import BuiltApp, register_app
 from repro.scenario.presets import echo_parity_scenario
@@ -92,7 +95,6 @@ def test_crashed_replica_zero_still_observed_on_sim_and_threaded():
 
 
 def test_process_runtime_fails_fast_on_unknown_app_kind():
-    from repro.common.errors import ConfigurationError
     from repro.scenario.spec import ScenarioBuilder
 
     spec = ScenarioBuilder("bad-app").service("svc", n=1, app="ecno").build()
@@ -107,7 +109,6 @@ def test_process_runtime_fails_fast_on_unknown_app_kind():
 def test_process_runtime_rejects_registry_only_cost_models():
     # A model living only in this process's registry cannot be rebuilt by
     # a worker; the spec must carry crypto_params instead.
-    from repro.common.errors import ConfigurationError
     from repro.crypto.cost import CryptoCostModel
     from repro.scenario.apps import register_cost_model
     from repro.scenario.spec import ScenarioBuilder
@@ -276,8 +277,6 @@ def test_frames_far_above_the_pipe_buffer_complete():
 
 
 def test_unknown_transport_rejected():
-    from repro.common.errors import ConfigurationError
-
     # Pipes are the one transport: "tcp" is refused like any made-up name.
     for transport in ("tcp", "carrier-pigeon"):
         with pytest.raises(ConfigurationError, match="transport"):
@@ -285,7 +284,129 @@ def test_unknown_transport_rejected():
 
 
 def test_unknown_runtime_rejected():
-    from repro.common.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError):
         get_runtime("quantum")
+
+
+PAIR_CALLS = 4
+
+
+def two_pair_echo(name: str):
+    """Two independent echo pairs, ``a-*`` and ``b-*``, in one spec."""
+    builder = ScenarioBuilder(name)
+    for pair in ("a", "b"):
+        builder.service(f"{pair}-target", n=4, app="echo")
+        builder.service(
+            f"{pair}-caller", n=4, app="sync_caller",
+            target=f"{pair}-target", total_calls=PAIR_CALLS,
+        )
+    return builder.build()
+
+
+def test_process_places_one_worker_per_replica_of_every_pair():
+    metrics = run_on(
+        ProcessRuntime(poll_interval_s=0.05),
+        two_pair_echo("pairs-proc"),
+        until_s=60,
+    )
+    for pair in ("a", "b"):
+        assert metrics.services[f"{pair}-caller"].completed_calls == PAIR_CALLS
+        assert metrics.services[f"{pair}-caller"].aborted_calls == 0
+        assert metrics.services[f"{pair}-target"].requests_served == PAIR_CALLS
+    # One OS process per voter/driver pair: 4 services x 4 replicas.
+    assert metrics.processes == 16
+
+
+def test_sim_link_fault_acts_on_the_link_it_names_in_a_shared_kernel():
+    # Both pairs share one kernel and one network. Cutting every link
+    # from pair a's caller drivers to its target's primary hides their
+    # requests from the primary: the drivers time out and retransmit
+    # before completing. Pair b, on the same network, runs as if the
+    # rule were not there.
+    spec = two_pair_echo("pairs-link")
+    clean = run_scenario(spec, runtime="sim")
+    lossy = run_scenario(
+        spec.with_(faults=tuple(
+            FaultSpec(kind="link", params={
+                "src": f"a-caller/d{i}", "dst": "a-target/v0", "drop": 1.0,
+            })
+            for i in range(4)
+        )),
+        runtime="sim",
+    )
+    assert clean.counters["retransmissions"] == 0
+    assert lossy.counters["retransmissions"] > 0
+    for pair in ("a", "b"):
+        assert lossy.services[f"{pair}-caller"].completed_calls == PAIR_CALLS
+    assert (
+        lossy.services["b-caller"].last_completion_us
+        == clean.services["b-caller"].last_completion_us
+    )
+    assert (
+        lossy.services["a-caller"].last_completion_us
+        > clean.services["a-caller"].last_completion_us
+    )
+
+
+def assert_no_orphans(baseline_threads):
+    """Router/egress threads joined and every spawned worker reaped."""
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        children = [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-")
+        ]
+        if threading.active_count() <= baseline_threads and not children:
+            break
+        time.sleep(0.05)
+    assert threading.active_count() <= baseline_threads
+    assert [
+        p.name for p in multiprocessing.active_children()
+        if p.name.startswith("repro-")
+    ] == []
+
+
+class TestPartialStartupTeardown:
+    def test_failed_spawn_leaves_no_orphan_threads_or_children(
+        self, monkeypatch
+    ):
+        baseline_threads = threading.active_count()
+        original = ProcessRuntime._start_worker
+        spawned = {"n": 0}
+
+        def failing(self, ctx, spec_json, service, index):
+            spawned["n"] += 1
+            if spawned["n"] == 5:
+                raise RuntimeError("synthetic spawn failure")
+            return original(self, ctx, spec_json, service, index)
+
+        monkeypatch.setattr(ProcessRuntime, "_start_worker", failing)
+        runtime = ProcessRuntime(poll_interval_s=0.05)
+        with pytest.raises(RuntimeError, match="synthetic spawn failure"):
+            runtime.deploy(two_pair_echo("pairs-partial-start"))
+        # Deploy's failure path runs shutdown(): router + egress threads
+        # joined, the four already-spawned workers reaped.
+        assert_no_orphans(baseline_threads)
+
+    def test_worker_dying_in_bootstrap_fails_deploy_at_once(self, monkeypatch):
+        from repro.scenario import process
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched worker entry point reaches children by fork")
+        original = process._worker_main
+
+        def dying(spec_json, service, index, conn):
+            if (service, index) == ("a-target", 2):
+                os._exit(3)
+            original(spec_json, service, index, conn)
+
+        monkeypatch.setattr(process, "_worker_main", dying)
+        baseline_threads = threading.active_count()
+        runtime = ProcessRuntime(poll_interval_s=0.05)
+        started = time.monotonic()
+        with pytest.raises(ConfigurationError) as raised:
+            runtime.deploy(two_pair_echo("pairs-dead-worker"))
+        # Not READY_TIMEOUT_S (30 s) later: the exit code is the signal.
+        assert time.monotonic() - started < 5
+        assert "('a-target', 2), 3" in str(raised.value)
+        assert_no_orphans(baseline_threads)

@@ -12,9 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.scenario.spec import (
     AppSpec,
     FaultSpec,
-    GroupSpec,
     NetworkSpec,
-    RoutingSpec,
     ScenarioBuilder,
     ScenarioSpec,
     ServiceDecl,
@@ -164,42 +162,6 @@ def scenario_specs(draw) -> ScenarioSpec:
         crash_faults, link_faults, byzantine_faults,
         delay_faults, partition_faults, restart_faults,
     )
-    # Optionally shard: move a suffix of the services into named groups
-    # (round-robin), each with its own faults, plus a routing policy —
-    # the whole sharded structure must survive the round trip too.
-    groups: tuple[GroupSpec, ...] = ()
-    routing = None
-    if len(services) >= 2 and draw(st.booleans()):
-        split = draw(st.integers(min_value=1, max_value=len(services) - 1))
-        grouped, services = services[split:], services[:split]
-        group_names = draw(
-            st.lists(
-                st.text(alphabet="ghjk0123456789", min_size=1, max_size=6),
-                min_size=1,
-                max_size=min(2, len(grouped)),
-                unique=True,
-            )
-        )
-        buckets: list[list[ServiceDecl]] = [[] for _ in group_names]
-        for i, grouped_decl in enumerate(grouped):
-            buckets[i % len(group_names)].append(grouped_decl)
-        groups = tuple(
-            GroupSpec(
-                name=group_name,
-                services=tuple(bucket),
-                faults=tuple(draw(st.lists(fault_specs, max_size=2))),
-            )
-            for group_name, bucket in zip(group_names, buckets)
-        )
-        routing = RoutingSpec(
-            policy=draw(st.sampled_from(["service_name", "consistent_hash"])),
-            params=draw(
-                st.one_of(
-                    st.just({}),
-                    st.fixed_dictionaries({"vnodes": st.integers(1, 128)}),
-                )
-            ),
-        )
     return ScenarioSpec(
         name=draw(st.text(min_size=1, max_size=16)),
         services=services,
@@ -224,8 +186,6 @@ def scenario_specs(draw) -> ScenarioSpec:
         ),
         seed=draw(st.integers(min_value=0, max_value=2**31)),
         max_events=draw(st.one_of(st.none(), st.integers(0, 2**31))),
-        groups=groups,
-        routing=routing,
     )
 
 

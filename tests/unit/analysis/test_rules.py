@@ -42,7 +42,6 @@ BAD_FIXTURES = [
     FIXTURES / "repro" / "clbft" / "bad_asyncio.py",
     FIXTURES / "repro" / "clbft" / "messages.py",
     FIXTURES / "repro" / "perpetual" / "bad_wire.py",
-    FIXTURES / "repro" / "perpetual" / "bad_sharding.py",
     FIXTURES / "locks_bad" / "repro" / "runtime" / "cluster.py",
 ]
 
@@ -57,8 +56,7 @@ def test_bad_fixture_reports_exactly_the_marked_violations(path):
 def test_every_rule_family_has_a_positive_case():
     rules_hit = {rule for p in BAD_FIXTURES for rule, _ in expected_findings(p)}
     for family_rule in ("DET001", "DET002", "DET003", "DET004", "DET005",
-                        "DET006", "WIRE001", "WIRE002", "WIRE003", "LOCK001",
-                        "SHARD001"):
+                        "DET006", "WIRE001", "WIRE002", "WIRE003", "LOCK001"):
         assert family_rule in rules_hit
 
 
@@ -71,7 +69,6 @@ GOOD_FIXTURES = [
     FIXTURES / "repro" / "perpetual" / "good_wire.py",
     FIXTURES / "repro" / "transport" / "channel.py",
     FIXTURES / "repro" / "scenario" / "process.py",
-    FIXTURES / "repro" / "sharding" / "router.py",
     FIXTURES / "locks_good" / "repro" / "runtime" / "cluster.py",
 ]
 

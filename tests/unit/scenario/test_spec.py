@@ -108,6 +108,22 @@ class TestSpecLookups:
         with pytest.raises(ConfigurationError):
             ScenarioSpec.from_json('{"services": []}')  # no name
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({"groups": [{"name": "g0", "services": []}]}, "'groups'"),
+            ({"routing": None, "batchng": "tick"}, "'batchng', 'routing'"),
+        ],
+        ids=["groups", "misspelt"],
+    )
+    def test_unknown_top_level_keys_rejected(self, extra, named):
+        # A key the spec does not know would otherwise be dropped without
+        # a word, and the run would differ from what the document says.
+        document = echo_parity_scenario(n=1, total_calls=1).to_dict()
+        with pytest.raises(ConfigurationError, match=f"unknown keys \\[{named}\\]"):
+            ScenarioSpec.from_dict(dict(document, **extra))
+        assert ScenarioSpec.from_dict(document).to_dict() == document
+
 
 class TestAppRegistry:
     def test_known_kinds_present(self):

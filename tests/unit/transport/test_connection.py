@@ -3,7 +3,7 @@
 from repro.crypto.auth import AuthenticatorFactory
 from repro.sim.kernel import ProtocolNode, Simulator
 from repro.sim.network import UniformLatency
-from repro.transport.connection import DirectConnection, SimConnection
+from repro.transport.connection import SimConnection
 from repro.transport.wire import WireEnvelope
 
 
@@ -37,22 +37,3 @@ class TestSimConnection:
         sim.run()
         assert sink.received == [("a", envelope)]
 
-
-class TestDirectConnection:
-    def test_routes_synchronously(self, keys):
-        log = []
-        conn = DirectConnection("a", lambda s, d, e: log.append((s, d, e)))
-        envelope = make_envelope(keys)
-        conn.transmit("b", envelope)
-        assert log == [("a", "b", envelope)]
-
-    def test_same_envelope_works_on_both_transports(self, keys):
-        # Transport independence: the identical authenticated envelope is
-        # valid regardless of the Connection that carried it.
-        envelope = make_envelope(keys)
-        routed = []
-        DirectConnection("a", lambda s, d, e: routed.append(e)).transmit(
-            "b", envelope
-        )
-        verifier = AuthenticatorFactory(keys, "b")
-        assert verifier.verify(routed[0].payload, routed[0].auth)

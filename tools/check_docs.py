@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs gate: every CLI example in docs/ must name real modules/flags.
 
-Two checks over ``docs/*.md``:
+Three checks over ``docs/*.md``:
 
 1. every ``console``/``bash`` code fence line invoking ``python -m
    repro...`` names an importable module (and subcommand) whose
@@ -10,7 +10,10 @@ Two checks over ``docs/*.md``:
 2. the rule table in ``docs/analysis.md`` (rows ``| `ID` | title |``)
    matches the live ``python -m repro.analysis --rules`` catalog, both
    directions: no undocumented rules, no documented ghosts, no stale
-   titles.
+   titles;
+3. the preset table in ``docs/scenarios.md`` (rows ``| `name` | shape |``
+   under "## Presets") names exactly the keys of
+   ``repro.scenario.presets.PRESETS``, both directions.
 
 Exit status is the number of failures (0 = docs in sync).
 """
@@ -29,6 +32,7 @@ DOCS = sorted((REPO_ROOT / "docs").glob("*.md"))
 _FENCE = re.compile(r"^```(\w*)\s*$")
 _RULE_ROW = re.compile(r"^\|\s*`([A-Z]+\d+)`\s*\|\s*(.+?)\s*\|")
 _RULE_LINE = re.compile(r"^([A-Z]+\d+)\s+(\S.*)$")
+_PRESET_ROW = re.compile(r"^\|\s*`([a-z0-9-]+)`\s*\|")
 
 _HELP_CACHE: dict[tuple[str, ...], str] = {}
 
@@ -145,12 +149,44 @@ def check_rule_table() -> list[str]:
     return failures
 
 
+def check_preset_table() -> list[str]:
+    page = REPO_ROOT / "docs" / "scenarios.md"
+    documented = set()
+    in_section = False
+    for line in page.read_text().splitlines():
+        if line.startswith("## "):
+            in_section = line.strip() == "## Presets"
+            continue
+        match = _PRESET_ROW.match(line.strip())
+        if in_section and match:
+            documented.add(match.group(1))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.scenario.presets import PRESETS; print(*PRESETS)"],
+        cwd=REPO_ROOT, capture_output=True, text=True,
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+    )
+    if proc.returncode != 0:
+        return [f"importing repro.scenario.presets failed: {proc.stderr.strip()}"]
+    live = set(proc.stdout.split())
+    return [
+        f"docs/scenarios.md: preset {name} missing from the table"
+        for name in sorted(live - documented)
+    ] + [
+        f"docs/scenarios.md: preset {name} no longer exists"
+        for name in sorted(documented - live)
+    ]
+
+
 def main() -> int:
-    failures = check_cli_examples() + check_rule_table()
+    failures = check_cli_examples() + check_rule_table() + check_preset_table()
     for failure in failures:
         print(f"DOCS: {failure}", file=sys.stderr)
     if not failures:
-        print(f"docs in sync: {len(DOCS)} pages, CLI examples and rule table OK")
+        print(
+            f"docs in sync: {len(DOCS)} pages, CLI examples, rule table "
+            f"and preset table OK"
+        )
     return min(len(failures), 100)
 
 
